@@ -10,8 +10,9 @@
 
 use bench::{print_table, write_csv};
 use bgp_types::{Asn, Prefix, UpdateBuilder, VpId};
+use gill::runtime::{EventedPool, RuntimeConfig};
 use gill_collector::{
-    run_fake_peer, DaemonConfig, DaemonPool, FakePeerConfig, MemoryStorage, SlowStorage, Storage,
+    run_fake_peer, DaemonConfig, FakePeerConfig, MemoryStorage, SlowStorage, Storage,
 };
 use gill_core::{FilterGranularity, FilterSet};
 use std::time::Duration;
@@ -24,15 +25,16 @@ const STORE_COST: Duration = Duration::from_micros(1000);
 const FILTER_SHARE: f64 = 0.9;
 
 fn run_cell(peers: usize, rate_per_sec: f64, with_filters: bool) -> (f64, usize, usize) {
-    let mut pool = DaemonPool::start(
-        "127.0.0.1:0",
+    let mut pool = EventedPool::start(
         DaemonConfig {
             queue_capacity: 256,
             ..DaemonConfig::default()
         },
+        RuntimeConfig::default(),
+        None,
     )
     .unwrap();
-    let addr = pool.local_addr();
+    let addr = pool.bgp_addr().unwrap();
     let prefixes = 40u32;
     if with_filters {
         // filters that drop FILTER_SHARE of each peer's prefixes
@@ -48,7 +50,7 @@ fn run_cell(peers: usize, rate_per_sec: f64, with_filters: bool) -> (f64, usize,
                 );
             }
         }
-        pool.install_filters(FilterSet::generate(
+        pool.pool().install_filters(FilterSet::generate(
             [],
             templates.iter(),
             FilterGranularity::VpPrefix,
@@ -57,7 +59,7 @@ fn run_cell(peers: usize, rate_per_sec: f64, with_filters: bool) -> (f64, usize,
     // storage thread (the single-CPU budget) drains concurrently with the
     // peers; scoped threads let it borrow the pool
     let stored = std::thread::scope(|s| {
-        let pool_ref = &pool;
+        let pool_ref = pool.pool();
         let drain = s.spawn(move || {
             let mut storage = SlowStorage::new(MemoryStorage::default(), STORE_COST);
             pool_ref.drain_into(&mut storage);

@@ -22,9 +22,9 @@
 //!   and the deterministic soak harness.
 //! * [`config`] — TOML-ish per-peer configuration: listener instances,
 //!   ASN allowlists, and per-peer-address ASN/router/name overrides.
-//! * [`listener`] — the runtime: accept loops, a per-connection drive
-//!   loop, and [`listener::BmpStats`], the `DaemonStats`-style atomic
-//!   ledger shared by all BMP sessions.
+//! * [`listener`] — [`listener::BmpStats`], the `DaemonStats`-style
+//!   atomic ledger shared by all BMP sessions. The sessions themselves
+//!   run on `gill-runtime`'s event loops.
 //!
 //! Accepted routes enter the pipeline through
 //! [`gill_collector::daemon::SessionCtx::offer`], so every downstream
@@ -45,4 +45,4 @@ pub use codec::{
 };
 pub use config::{BmpConfig, ListenerConfig, PeerOverride, PeerPolicy};
 pub use fsm::{BmpCloseReason, BmpEvent, BmpFsm, BmpLedger, BmpSessionConfig, PeerKey};
-pub use listener::{run_bmp_session, BmpPool, BmpStats};
+pub use listener::BmpStats;

@@ -1,27 +1,17 @@
-//! The BMP runtime: accept loops, the per-session drive loop, and the
-//! shared counter ledger.
+//! The BMP counter ledger shared by every BMP session.
 //!
-//! [`run_bmp_session`] is generic over [`Transport`], so the exact loop
-//! that serves TCP routers also runs over `SimTransport` in tests, the
-//! soak harness, and `bench_bmp`. Accepted routes are handed to
-//! [`SessionCtx::offer`] — the same mirror → validate → filter → sink →
+//! The session runtime (`gill-runtime`) accepts routers, drives one
+//! [`crate::fsm::BmpFsm`] per connection and hands accepted routes to
+//! `SessionCtx::offer` — the same mirror → validate → filter → sink →
 //! bounded-queue pipeline BGP sessions feed — so BMP inherits every
-//! downstream accounting invariant for free.
+//! downstream accounting invariant for free. [`BmpStats`] is what it
+//! counts along the way.
 
-use crate::config::BmpConfig;
-use crate::fsm::{BmpCloseReason, BmpEvent, BmpFsm, BmpSessionConfig};
-use bgp_types::Timestamp;
-use gill_collector::daemon::SessionCtx;
-use gill_collector::transport::{Clock, SystemClock, Transport};
-use std::io;
-use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::AtomicUsize;
 
 /// Shared counters for the BMP subsystem, in the style of
 /// `gill_collector::daemon::DaemonStats`. Message-level counters are
-/// incremented live by the drive loop (so `/health`-style probes see
+/// incremented live by the event loop (so `/health`-style probes see
 /// progress mid-session), session counters at open/close.
 #[derive(Default, Debug)]
 pub struct BmpStats {
@@ -54,225 +44,4 @@ pub struct BmpStats {
     /// Connections closed at accept because the pool-wide session cap
     /// (`BmpConfig::max_sessions`) was reached.
     pub accept_rejected: AtomicUsize,
-}
-
-/// Upper bound on one blocking read so idle-timer ticks stay responsive.
-const MAX_READ_SLICE_MS: u64 = 500;
-
-/// Drives one BMP session over `transport` until it closes, feeding every
-/// accepted UPDATE through `ctx` attributed to its demuxed [`bgp_types::VpId`].
-/// Returns the close reason (an `Err` only for unexpected transport
-/// failures; session-level failures are reasons).
-pub fn run_bmp_session<T: Transport>(
-    mut transport: T,
-    cfg: BmpSessionConfig,
-    ctx: &SessionCtx,
-    stats: &BmpStats,
-    clock: &dyn Clock,
-) -> io::Result<BmpCloseReason> {
-    let mut fsm = BmpFsm::new(cfg, clock.now_ms());
-    let mut chunk = vec![0u8; 16 * 1024];
-    let mut started = false;
-    let mut closing = false;
-    loop {
-        if !closing && ctx.shutdown.load(Ordering::Relaxed) {
-            // cooperative shutdown: BMP has no message we owe the peer,
-            // so close the transport and let the FSM wind down as EOF
-            closing = true;
-            transport.shutdown();
-            fsm.handle_eof(clock.now_ms());
-        }
-        while let Some(event) = fsm.poll_event() {
-            match event {
-                BmpEvent::SessionStarted { .. } => {
-                    started = true;
-                    stats.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                }
-                BmpEvent::PeerUp { .. } => {
-                    stats.peers_up.fetch_add(1, Ordering::Relaxed);
-                }
-                BmpEvent::PeerDown { .. } => {
-                    stats.peers_down.fetch_add(1, Ordering::Relaxed);
-                }
-                BmpEvent::Update { vp, update, ts_ms } => {
-                    stats.updates.fetch_add(1, Ordering::Relaxed);
-                    ctx.offer(vp, update, Timestamp::from_millis(ts_ms));
-                }
-                BmpEvent::Stats { .. } => {
-                    stats.stats_reports.fetch_add(1, Ordering::Relaxed);
-                }
-                BmpEvent::Closed(reason) => {
-                    let ledger = fsm.ledger();
-                    stats
-                        .unknown_peer
-                        .fetch_add(ledger.unknown_peer as usize, Ordering::Relaxed);
-                    stats
-                        .peers_denied
-                        .fetch_add(ledger.denied_peers as usize, Ordering::Relaxed);
-                    stats
-                        .duplicate_peer_ups
-                        .fetch_add(ledger.duplicate_peer_ups as usize, Ordering::Relaxed);
-                    if started {
-                        stats.sessions_closed.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        stats.initiation_failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                    match &reason {
-                        BmpCloseReason::Terminated => {
-                            stats.terminations.fetch_add(1, Ordering::Relaxed);
-                        }
-                        BmpCloseReason::IdleTimeout => {
-                            stats.idle_timeouts.fetch_add(1, Ordering::Relaxed);
-                        }
-                        BmpCloseReason::DecodeError(_) | BmpCloseReason::ProtocolError(_) => {
-                            stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                        _ => {}
-                    }
-                    transport.shutdown();
-                    return Ok(reason);
-                }
-            }
-        }
-        let now = clock.now_ms();
-        let timeout = fsm
-            .next_deadline_ms()
-            .map(|d| d.saturating_sub(now).clamp(1, MAX_READ_SLICE_MS))
-            .unwrap_or(MAX_READ_SLICE_MS);
-        transport.set_read_timeout(Some(Duration::from_millis(timeout)))?;
-        match transport.read(&mut chunk[..]) {
-            Ok(0) => fsm.handle_eof(clock.now_ms()),
-            Ok(n) => fsm.handle_bytes(&chunk[..n], clock.now_ms()),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                fsm.tick(clock.now_ms());
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// A pool of BMP listeners: one accept thread per configured listener,
-/// one session thread per connected router, all sharing one
-/// [`SessionCtx`] pipeline and one [`BmpStats`] ledger.
-pub struct BmpPool {
-    stats: Arc<BmpStats>,
-    stop: Arc<AtomicBool>,
-    accept_threads: Vec<std::thread::JoinHandle<()>>,
-    session_threads: Arc<parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    local_addrs: Vec<SocketAddr>,
-}
-
-impl BmpPool {
-    /// Binds every configured listener and starts accepting routers.
-    /// Sessions publish through `ctx` — typically
-    /// `DaemonPool::session_ctx()`, so BGP and BMP share one pipeline.
-    /// The pool replaces the ctx's shutdown signal with its own, so
-    /// [`BmpPool::stop`] winds down exactly this pool's sessions.
-    pub fn start(cfg: &BmpConfig, mut ctx: SessionCtx) -> io::Result<BmpPool> {
-        let stats = Arc::new(BmpStats::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        ctx.shutdown = stop.clone();
-        let session_threads: Arc<parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let active = Arc::new(AtomicUsize::new(0));
-        let mut accept_threads = Vec::new();
-        let mut local_addrs = Vec::new();
-        for lst in &cfg.listeners {
-            let listener = TcpListener::bind(&lst.bind)?;
-            local_addrs.push(listener.local_addr()?);
-            listener.set_nonblocking(true)?;
-            let session_cfg = BmpSessionConfig {
-                idle_timeout_ms: lst.idle_timeout_ms,
-                policy: cfg.policy.clone(),
-            };
-            let max_sessions = cfg.max_sessions;
-            let stats = stats.clone();
-            let stop = stop.clone();
-            let ctx = ctx.clone();
-            let threads = session_threads.clone();
-            let active = active.clone();
-            accept_threads.push(std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((mut stream, _)) => {
-                            if max_sessions > 0 && active.load(Ordering::Relaxed) >= max_sessions {
-                                // 503-style shed: BMP has no reject
-                                // message, so the close *is* the signal
-                                stats.accept_rejected.fetch_add(1, Ordering::Relaxed);
-                                Transport::shutdown(&mut stream);
-                                continue;
-                            }
-                            active.fetch_add(1, Ordering::Relaxed);
-                            stream.set_nonblocking(false).ok();
-                            let ctx = ctx.clone();
-                            let stats = stats.clone();
-                            let session_cfg = session_cfg.clone();
-                            let active = active.clone();
-                            let handle = std::thread::spawn(move || {
-                                let clock = SystemClock::new();
-                                let _ = run_bmp_session(stream, session_cfg, &ctx, &stats, &clock);
-                                active.fetch_sub(1, Ordering::Relaxed);
-                            });
-                            let mut v = threads.lock();
-                            v.retain(|h| !h.is_finished());
-                            v.push(handle);
-                        }
-                        Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
-                    }
-                }
-                // listener drops here: the socket closes with the loop
-            }));
-        }
-        Ok(BmpPool {
-            stats,
-            stop,
-            accept_threads,
-            session_threads,
-            local_addrs,
-        })
-    }
-
-    /// Addresses routers should connect to, one per listener.
-    pub fn local_addrs(&self) -> &[SocketAddr] {
-        &self.local_addrs
-    }
-
-    /// Live counters (shared with every session).
-    pub fn stats(&self) -> &Arc<BmpStats> {
-        &self.stats
-    }
-
-    /// Signals shutdown without joining (usable through a shared
-    /// reference from inside a thread scope).
-    pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-    }
-
-    /// Stops the pool: closes listeners, signals every session (their
-    /// transports are shut down mid-read-slice), and joins session
-    /// threads with a bounded deadline.
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for t in self.accept_threads.drain(..) {
-            let _ = t.join();
-        }
-        let handles: Vec<_> = self.session_threads.lock().drain(..).collect();
-        let _stragglers =
-            gill_collector::daemon::join_with_deadline(handles, Duration::from_secs(3));
-    }
-}
-
-impl Drop for BmpPool {
-    fn drop(&mut self) {
-        self.stop();
-    }
 }

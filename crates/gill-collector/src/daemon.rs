@@ -1,18 +1,22 @@
-//! The per-peer BGP daemon (§8).
+//! The collector's shared session pipeline (§8).
 //!
-//! Each daemon owns exactly one BGP session: it runs the RFC 4271 session
-//! FSM ([`crate::fsm::SessionFsm`]) over a pluggable [`Transport`],
-//! receives UPDATEs, applies GILL's filters, and hands retained updates to
-//! a **bounded** storage queue. When the queue is full the update is
-//! *lost* — the quantity Table 1 measures under load. Filters can be
-//! swapped at runtime by the orchestrator (§7's periodic refresh).
+//! Every BGP session and BMP-monitored peer feeds one [`SessionCtx`]:
+//! the orchestrator mirror, the §14 validator and forwarding tee, GILL's
+//! filters, the live-stream sink and a **bounded** storage queue. When
+//! the queue is full the update is *lost* — the quantity Table 1
+//! measures under load. Filters can be swapped at runtime by the
+//! orchestrator (§7's periodic refresh). [`DaemonPool`] owns that
+//! pipeline; the session runtime (`gill-runtime`'s evented pool) accepts
+//! peers and drives their FSMs into it.
 //!
 //! The session layer is split in two:
 //!
-//! * the FSM decides *what* happens (handshake, hold timer, keepalives,
-//!   NOTIFICATION-on-error) and is pure;
-//! * the drive loops here decide *when*, by blocking on the transport with
-//!   timeouts derived from the FSM's next deadline.
+//! * the FSM ([`crate::fsm::SessionFsm`]) decides *what* happens
+//!   (handshake, hold timer, keepalives, NOTIFICATION-on-error) and is
+//!   pure;
+//! * the caller decides *when*: the evented runtime from readiness and
+//!   timer fires, the client handshake here by blocking on the transport
+//!   with timeouts derived from the FSM's next deadline.
 //!
 //! The same FSM also runs under the deterministic [`crate::harness`].
 
@@ -27,9 +31,9 @@ use bgp_wire::{BgpMessage, Notification, WireError};
 use bytes::BytesMut;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use gill_core::{FilterHandle, FilterSet, FilterView};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -276,22 +280,6 @@ impl<T: Transport> MessageStream<T> {
     }
 }
 
-/// A session that completed its handshake: carries the FSM (with its
-/// negotiated hold/keepalive timers and any residual decode buffer) into
-/// the established phase.
-pub struct EstablishedSession {
-    /// The peer's identity from its OPEN.
-    pub peer: VpId,
-    fsm: SessionFsm,
-}
-
-impl EstablishedSession {
-    /// Negotiated hold time in milliseconds (0 = timers disabled).
-    pub fn hold_ms(&self) -> u64 {
-        self.fsm.hold_ms()
-    }
-}
-
 fn close_error(reason: &CloseReason) -> io::Error {
     match reason {
         CloseReason::PeerClosed => {
@@ -398,23 +386,6 @@ fn drive_handshake<T: Transport>(
     }
 }
 
-/// Server side of the handshake on an accepted connection: runs the
-/// passive FSM until Established and returns the session (peer identity +
-/// negotiated timers).
-pub fn handshake_server<T: Transport>(
-    s: &mut MessageStream<T>,
-    cfg: &DaemonConfig,
-) -> io::Result<EstablishedSession> {
-    let clock = SystemClock::new();
-    let mut fsm = SessionFsm::new(SessionRole::Passive, cfg.session_config());
-    fsm.start(clock.now_ms());
-    drive_handshake(s, &mut fsm, &clock)?;
-    let peer = fsm
-        .peer()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no peer identity"))?;
-    Ok(EstablishedSession { peer, fsm })
-}
-
 /// Client side of the handshake (used by the fake peers of §8's load test
 /// and by operators' routers in the real deployment). Runs the active FSM
 /// until Established; any bytes the peer sent beyond the handshake are
@@ -485,10 +456,8 @@ pub struct SessionCtx {
     /// Live-stream tee, fed *after* filter-accept (subscribers see exactly
     /// what the archive retains, minus queue overflow losses).
     pub sink: Option<Arc<dyn UpdateSink>>,
-    /// Cooperative shutdown signal. Drive loops poll it between read
-    /// slices and close their session gracefully (NOTIFICATION Cease /
-    /// transport shutdown) when set, so a pool can join its session
-    /// threads with a bounded deadline instead of leaking them.
+    /// The owning pool's stop signal, set once the pipeline winds down
+    /// ([`DaemonPool::request_stop`]).
     pub shutdown: Arc<AtomicBool>,
 }
 
@@ -519,19 +488,12 @@ impl SessionCtx {
         self
     }
 
-    /// Offers one received UPDATE into the pipeline on behalf of `vp`.
-    /// This is the entry point for non-BGP ingest paths (the BMP
-    /// subsystem demuxes many monitored peers onto it), so every protocol
-    /// shares the same mirror → validate → filter → sink → queue
-    /// accounting. Returns `false` when the queue is gone.
+    /// Offers one received UPDATE into the pipeline on behalf of `vp`:
+    /// the mirror tee, validation, forwarding, filtering, the sink and
+    /// the bounded queue. BGP sessions and BMP-monitored peers both
+    /// enter here, so every protocol shares the same accounting. Returns
+    /// `false` when the queue is gone.
     pub fn offer(&self, vp: VpId, wire: bgp_wire::UpdateMessage, now: Timestamp) -> bool {
-        self.ingest(vp, wire, now)
-    }
-
-    /// Runs one received UPDATE through the mirror tee, validation,
-    /// forwarding, filtering and the bounded queue. Returns `false` when
-    /// the queue is gone.
-    fn ingest(&self, vp: VpId, wire: bgp_wire::UpdateMessage, now: Timestamp) -> bool {
         for mut domain in wire.to_domain(vp, now) {
             domain.time = now;
             self.stats.received.fetch_add(1, Ordering::Relaxed);
@@ -603,66 +565,12 @@ impl SessionCtx {
     }
 }
 
-/// Runs one established session to completion: drives the FSM (hold
-/// timer, keepalive generation, NOTIFICATION-on-error), feeds received
-/// UPDATEs through the pipeline, and returns why the session ended. The
-/// reception clock is the elapsed time since session start.
-pub fn run_session_with<T: Transport>(
-    s: &mut MessageStream<T>,
-    session: EstablishedSession,
-    ctx: &SessionCtx,
-) -> io::Result<CloseReason> {
-    let EstablishedSession { peer, mut fsm } = session;
-    let clock = SystemClock::new();
-    let mut closing = false;
-    loop {
-        if !closing && ctx.shutdown.load(Ordering::Relaxed) {
-            closing = true;
-            fsm.close_gracefully();
-        }
-        while let Some(event) = fsm.poll_event() {
-            match event {
-                SessionEvent::Update(u) => {
-                    let now = Timestamp::from_millis(clock.now_ms());
-                    if !ctx.ingest(peer, u, now) {
-                        return Ok(CloseReason::PeerClosed);
-                    }
-                }
-                SessionEvent::KeepaliveSent => {
-                    ctx.stats.keepalives_sent.fetch_add(1, Ordering::Relaxed);
-                }
-                SessionEvent::KeepaliveReceived => {
-                    ctx.stats
-                        .keepalives_received
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                SessionEvent::NotificationSent { .. } => {
-                    ctx.stats.notifications_sent.fetch_add(1, Ordering::Relaxed);
-                }
-                SessionEvent::Closed(reason) => {
-                    if reason == CloseReason::HoldTimerExpired {
-                        ctx.stats.hold_expirations.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // flush the parting NOTIFICATION, best effort
-                    while fsm.has_output() {
-                        let out = fsm.take_output();
-                        if s.transport.write_all(&out).is_err() {
-                            break;
-                        }
-                    }
-                    s.transport.shutdown();
-                    return Ok(reason);
-                }
-                SessionEvent::Established { .. } => {}
-            }
-        }
-        drive_step(s, &mut fsm, &clock)?;
-    }
-}
-
-/// A listening daemon pool: accepts sessions on one listener, spawning one
-/// session thread per peer (the paper's "custom BGP daemon tailored to
-/// peer with a single BGP router", multiplied).
+/// The collector's shared pipeline: filters, the bounded storage queue,
+/// counters, the §14 services, the mirror and sink tees, and the
+/// orchestrator refresh thread. The session runtime (`gill-runtime`)
+/// accepts peers and mints per-session views of it with
+/// [`DaemonPool::session_ctx`]; the storage thread empties it with
+/// [`DaemonPool::drain_into`].
 pub struct DaemonPool {
     stats: Arc<DaemonStats>,
     filters: Arc<FilterHandle>,
@@ -675,134 +583,14 @@ pub struct DaemonPool {
     mirror_rx: Option<Receiver<BgpUpdate>>,
     mirror_on: Arc<AtomicBool>,
     stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
     refresh_thread: Option<std::thread::JoinHandle<()>>,
-    session_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    active_sessions: Arc<AtomicUsize>,
-    local_addr: std::net::SocketAddr,
-}
-
-/// Joins `handles` with a bounded deadline, polling completion; threads
-/// still running when the deadline passes are detached (dropped), and
-/// their count is returned. Session drive loops poll their shutdown
-/// flag at least every read slice (≤500 ms), so a few seconds suffices
-/// for a clean exit.
-pub fn join_with_deadline(
-    mut handles: Vec<std::thread::JoinHandle<()>>,
-    deadline: Duration,
-) -> usize {
-    let t0 = std::time::Instant::now();
-    loop {
-        handles = handles
-            .into_iter()
-            .filter_map(|h| {
-                if h.is_finished() {
-                    let _ = h.join();
-                    None
-                } else {
-                    Some(h)
-                }
-            })
-            .collect();
-        if handles.is_empty() {
-            return 0;
-        }
-        if t0.elapsed() >= deadline {
-            return handles.len();
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
 }
 
 impl DaemonPool {
-    /// Binds to `addr` (use port 0 for an ephemeral port) and starts
-    /// accepting peers.
-    pub fn start(addr: &str, cfg: DaemonConfig) -> io::Result<DaemonPool> {
-        DaemonPool::start_with_sink(addr, cfg, None)
-    }
-
-    /// Like [`DaemonPool::start`] with a live-stream tee: every session
-    /// offers its post-filter accepted updates to `sink` (the sink must be
-    /// wired before accepting, since sessions clone their pipeline at
-    /// start).
-    pub fn start_with_sink(
-        addr: &str,
-        cfg: DaemonConfig,
-        sink: Option<Arc<dyn UpdateSink>>,
-    ) -> io::Result<DaemonPool> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let mut pool = DaemonPool::pipeline(cfg.clone(), sink);
-        pool.local_addr = local_addr;
-        // identities that have completed a handshake before, for the
-        // reconnect counter
-        let known_peers: Arc<Mutex<std::collections::HashSet<VpId>>> =
-            Arc::new(Mutex::new(std::collections::HashSet::new()));
-        let accept_thread = {
-            let ctx = pool.session_ctx();
-            let stop = pool.stop.clone();
-            let threads = pool.session_threads.clone();
-            let active = pool.active_sessions.clone();
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if cfg.max_sessions > 0
-                                && active.load(Ordering::Relaxed) >= cfg.max_sessions
-                            {
-                                reject_over_capacity(stream, &ctx.stats);
-                                continue;
-                            }
-                            active.fetch_add(1, Ordering::Relaxed);
-                            stream.set_nonblocking(false).ok();
-                            let ctx = ctx.clone();
-                            let cfg = cfg.clone();
-                            let known_peers = known_peers.clone();
-                            let active = active.clone();
-                            let handle = std::thread::spawn(move || {
-                                let mut ms = MessageStream::new(stream);
-                                match handshake_server(&mut ms, &cfg) {
-                                    Ok(session) => {
-                                        ctx.stats.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                                        if !known_peers.lock().insert(session.peer) {
-                                            ctx.stats.reconnects.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        let _ = run_session_with(&mut ms, session, &ctx);
-                                        ctx.stats.sessions_closed.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    Err(_) => {
-                                        ctx.stats
-                                            .handshake_failures
-                                            .fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                                active.fetch_sub(1, Ordering::Relaxed);
-                            });
-                            let mut v = threads.lock();
-                            // reap handles of sessions that already ended
-                            v.retain(|h| !h.is_finished());
-                            v.push(handle);
-                        }
-                        Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
-                    }
-                }
-                // listener drops here: the socket closes with the loop
-            })
-        };
-        pool.accept_thread = Some(accept_thread);
-        Ok(pool)
-    }
-
     /// Builds the shared pipeline — filters, bounded queue, counters,
-    /// §14 services, mirror and sink tees — without binding a listener
-    /// or spawning an accept thread. The evented runtime
-    /// (`gill-runtime`) uses this: it accepts into its own reactor and
-    /// mints per-session views via [`DaemonPool::session_ctx`], so both
-    /// runtimes share every downstream accounting invariant.
+    /// §14 services, mirror and sink tees. `sink` is the optional
+    /// live-stream tee every session offers its post-filter accepted
+    /// updates to.
     pub fn pipeline(cfg: DaemonConfig, sink: Option<Arc<dyn UpdateSink>>) -> DaemonPool {
         let (queue_tx, queue_rx) = bounded(cfg.queue_capacity);
         let (mirror_tx, mirror_rx) = bounded(cfg.mirror_capacity.max(1));
@@ -826,11 +614,7 @@ impl DaemonPool {
             mirror_rx: Some(mirror_rx),
             mirror_on,
             stop,
-            accept_thread: None,
             refresh_thread: None,
-            session_threads: Arc::new(Mutex::new(Vec::new())),
-            active_sessions: Arc::new(AtomicUsize::new(0)),
-            local_addr: std::net::SocketAddr::from(([0, 0, 0, 0], 0)),
         }
     }
 
@@ -857,11 +641,6 @@ impl DaemonPool {
         }
     }
 
-    /// Address peers should connect to.
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.local_addr
-    }
-
     /// Live counters.
     pub fn stats(&self) -> &DaemonStats {
         &self.stats
@@ -886,10 +665,9 @@ impl DaemonPool {
     }
 
     /// A fresh handle onto the shared session pipeline (its own filter
-    /// view cache, everything else shared), for wiring additional ingest
-    /// paths (e.g. a BMP listener pool) into the same filters, counters,
-    /// stream sink and bounded storage queue as the BGP sessions this
-    /// pool accepts.
+    /// view cache, everything else shared): each event-loop worker holds
+    /// one, so BGP sessions and BMP routers feed the same filters,
+    /// counters, stream sink and bounded storage queue.
     pub fn session_ctx(&self) -> SessionCtx {
         SessionCtx {
             filters: self.filters.view(),
@@ -902,11 +680,6 @@ impl DaemonPool {
             sink: self.sink.clone(),
             shutdown: self.stop.clone(),
         }
-    }
-
-    /// Sessions currently being served by this pool's accept loop.
-    pub fn active_sessions(&self) -> usize {
-        self.active_sessions.load(Ordering::Relaxed)
     }
 
     /// Wires `orch` into the live pool as the §8 background refresh
@@ -961,34 +734,27 @@ impl DaemonPool {
         self.queue_tx.clone()
     }
 
-    /// Signals shutdown without joining the accept thread (usable through
-    /// a shared reference, e.g. from inside a thread scope while
-    /// [`DaemonPool::drain_into`] runs elsewhere).
+    /// Signals shutdown without joining the refresh thread (usable
+    /// through a shared reference, e.g. from inside a thread scope while
+    /// [`DaemonPool::drain_into`] runs elsewhere). The drain returns once
+    /// the queue is dry.
     pub fn request_stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
     }
 
-    /// Stops the pool: closes the listener, signals every session (they
-    /// send a NOTIFICATION Cease and close), and joins session threads
-    /// with a bounded deadline. Returns once everything joined or the
-    /// deadline passed (stragglers are detached, not leaked handles).
+    /// Stops the pipeline: signals the drain and joins the orchestrator
+    /// refresh thread, if one is attached.
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
         if let Some(t) = self.refresh_thread.take() {
             let _ = t.join();
         }
-        let handles: Vec<_> = self.session_threads.lock().drain(..).collect();
-        let _stragglers = join_with_deadline(handles, Duration::from_secs(3));
     }
 }
 
 /// 503-style accept rejection: the cap is reached, so tell the peer to
 /// go away (NOTIFICATION Cease — the standard administrative-shutdown
-/// signal) and close, without spawning anything. Shared with the
-/// evented runtime's acceptor so both runtimes shed identically.
+/// signal) and close, without registering a session.
 pub fn reject_over_capacity(stream: TcpStream, stats: &DaemonStats) {
     stats.accept_rejected.fetch_add(1, Ordering::Relaxed);
     let mut ms = MessageStream::new(stream);
@@ -1039,272 +805,5 @@ fn run_refresh_driver(
 impl Drop for DaemonPool {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::storage::MemoryStorage;
-    use bgp_types::{Asn, Prefix, UpdateBuilder};
-    use bgp_wire::{Notification, UpdateMessage};
-    use gill_core::FilterGranularity;
-
-    fn send_updates(addr: std::net::SocketAddr, asn: u32, prefixes: &[u32]) {
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut ms = MessageStream::new(stream);
-        handshake_client(&mut ms, asn).unwrap();
-        for &p in prefixes {
-            let u = UpdateBuilder::announce(VpId::from_asn(Asn(asn)), Prefix::synthetic(p))
-                .path([asn, 2, 3])
-                .build();
-            let wire = UpdateMessage::from_domain(&u).unwrap();
-            ms.write_message(&BgpMessage::Update(wire)).unwrap();
-        }
-        // graceful close
-        ms.write_message(&BgpMessage::Notification(Notification::cease()))
-            .unwrap();
-    }
-
-    /// Waits until the pool has received `expect` updates (bounded wait).
-    fn wait_received(pool: &DaemonPool, expect: usize) {
-        for _ in 0..200 {
-            if pool.stats().received.load(Ordering::Relaxed) >= expect {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
-
-    /// Waits until `cond` holds (bounded, for counters without a channel).
-    fn wait_until(cond: impl Fn() -> bool) -> bool {
-        for _ in 0..500 {
-            if cond() {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        false
-    }
-
-    #[test]
-    fn end_to_end_session_stores_updates() {
-        let mut pool = DaemonPool::start("127.0.0.1:0", DaemonConfig::default()).unwrap();
-        let addr = pool.local_addr();
-        std::thread::spawn(move || send_updates(addr, 65001, &[1, 2, 3]))
-            .join()
-            .unwrap();
-        wait_received(&pool, 3);
-        pool.stop();
-        let mut storage = MemoryStorage::default();
-        pool.drain_into(&mut storage);
-        assert_eq!(storage.updates.len(), 3);
-        assert_eq!(pool.stats().received.load(Ordering::Relaxed), 3);
-        assert_eq!(pool.stats().retained.load(Ordering::Relaxed), 3);
-        assert_eq!(pool.stats().lost.load(Ordering::Relaxed), 0);
-        assert_eq!(pool.stats().sessions_opened.load(Ordering::Relaxed), 1);
-        // VP identity comes from the OPEN handshake
-        assert!(storage
-            .updates
-            .iter()
-            .all(|u| u.vp == VpId::from_asn(Asn(65001))));
-    }
-
-    #[test]
-    fn filters_drop_matching_updates() {
-        let mut pool = DaemonPool::start("127.0.0.1:0", DaemonConfig::default()).unwrap();
-        // drop (vp 65002, prefix 1)
-        let template = UpdateBuilder::announce(VpId::from_asn(Asn(65002)), Prefix::synthetic(1))
-            .path([65002, 9])
-            .build();
-        pool.install_filters(FilterSet::generate(
-            [],
-            [&template],
-            FilterGranularity::VpPrefix,
-        ));
-        let addr = pool.local_addr();
-        std::thread::spawn(move || send_updates(addr, 65002, &[1, 2]))
-            .join()
-            .unwrap();
-        wait_received(&pool, 2);
-        pool.stop();
-        let mut storage = MemoryStorage::default();
-        pool.drain_into(&mut storage);
-        assert_eq!(storage.updates.len(), 1);
-        assert_eq!(pool.stats().filtered.load(Ordering::Relaxed), 1);
-        assert_eq!(storage.updates[0].prefix, Prefix::synthetic(2));
-    }
-
-    #[test]
-    fn overload_counts_losses() {
-        let mut pool = DaemonPool::start(
-            "127.0.0.1:0",
-            DaemonConfig {
-                queue_capacity: 4,
-                ..DaemonConfig::default()
-            },
-        )
-        .unwrap();
-        let addr = pool.local_addr();
-        // nobody drains the queue while 50 updates arrive
-        std::thread::spawn(move || send_updates(addr, 65003, &(0..50).collect::<Vec<_>>()))
-            .join()
-            .unwrap();
-        wait_received(&pool, 50);
-        pool.stop();
-        let lost = pool.stats().lost.load(Ordering::Relaxed);
-        let retained = pool.stats().retained.load(Ordering::Relaxed);
-        assert_eq!(retained, 4, "queue capacity bounds retained");
-        assert_eq!(lost, 46);
-        assert!(pool.stats().loss_rate() > 0.9);
-    }
-
-    #[test]
-    fn multiple_concurrent_peers() {
-        let mut pool = DaemonPool::start("127.0.0.1:0", DaemonConfig::default()).unwrap();
-        let addr = pool.local_addr();
-        let handles: Vec<_> = (0..8)
-            .map(|k| std::thread::spawn(move || send_updates(addr, 65100 + k, &[k, k + 1])))
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        wait_received(&pool, 16);
-        pool.stop();
-        let mut storage = MemoryStorage::default();
-        pool.drain_into(&mut storage);
-        assert_eq!(storage.updates.len(), 16);
-        let vps: std::collections::BTreeSet<VpId> = storage.updates.iter().map(|u| u.vp).collect();
-        assert_eq!(vps.len(), 8);
-        assert_eq!(pool.stats().sessions_opened.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn garbage_handshake_counts_as_failure() {
-        let mut pool = DaemonPool::start("127.0.0.1:0", DaemonConfig::default()).unwrap();
-        let addr = pool.local_addr();
-        {
-            let mut s = TcpStream::connect(addr).unwrap();
-            std::io::Write::write_all(&mut s, b"not a bgp open").unwrap();
-        }
-        assert!(
-            wait_until(|| pool.stats().handshake_failures.load(Ordering::Relaxed) >= 1),
-            "garbage handshake must be counted"
-        );
-        pool.stop();
-        assert_eq!(pool.stats().sessions_opened.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn same_peer_reconnecting_is_counted() {
-        let mut pool = DaemonPool::start("127.0.0.1:0", DaemonConfig::default()).unwrap();
-        let addr = pool.local_addr();
-        for round in 0..2 {
-            std::thread::spawn(move || send_updates(addr, 65042, &[round]))
-                .join()
-                .unwrap();
-            wait_received(&pool, round as usize + 1);
-        }
-        assert!(
-            wait_until(|| pool.stats().sessions_closed.load(Ordering::Relaxed) >= 2),
-            "both sessions should close"
-        );
-        pool.stop();
-        assert_eq!(pool.stats().sessions_opened.load(Ordering::Relaxed), 2);
-        assert_eq!(pool.stats().reconnects.load(Ordering::Relaxed), 1);
-    }
-}
-
-#[cfg(test)]
-mod services_tests {
-    use super::*;
-    use crate::forwarding::ForwardRule;
-    use crate::storage::MemoryStorage;
-    use bgp_types::{Asn, Link, Prefix, UpdateBuilder};
-    use bgp_wire::{Notification, UpdateMessage};
-
-    fn send_raw(addr: std::net::SocketAddr, asn: u32, updates: Vec<bgp_types::BgpUpdate>) {
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut ms = MessageStream::new(stream);
-        handshake_client(&mut ms, asn).unwrap();
-        for u in updates {
-            let wire = UpdateMessage::from_domain(&u).unwrap();
-            ms.write_message(&BgpMessage::Update(wire)).unwrap();
-        }
-        ms.write_message(&BgpMessage::Notification(Notification::cease()))
-            .unwrap();
-    }
-
-    fn wait_received(pool: &DaemonPool, expect: usize) {
-        for _ in 0..200 {
-            if pool.stats().received.load(Ordering::Relaxed) >= expect {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
-
-    #[test]
-    fn validation_drops_spoofed_first_hop() {
-        let mut pool = DaemonPool::start(
-            "127.0.0.1:0",
-            DaemonConfig {
-                validate: true,
-                ..DaemonConfig::default()
-            },
-        )
-        .unwrap();
-        pool.seed_validator([Link::new(Asn(2), Asn(3))]);
-        let addr = pool.local_addr();
-        let vp = VpId::from_asn(Asn(65001));
-        let good = UpdateBuilder::announce(vp, Prefix::synthetic(1))
-            .path([65001, 2, 3])
-            .build();
-        // path does not start with the peering AS: spoofed
-        let spoofed = UpdateBuilder::announce(vp, Prefix::synthetic(2))
-            .path([9999, 2, 3])
-            .build();
-        std::thread::spawn(move || send_raw(addr, 65001, vec![good, spoofed]))
-            .join()
-            .unwrap();
-        wait_received(&pool, 2);
-        pool.stop();
-        let mut storage = MemoryStorage::default();
-        pool.drain_into(&mut storage);
-        assert_eq!(storage.updates.len(), 1, "spoofed update must be dropped");
-        assert_eq!(pool.stats().invalid.load(Ordering::Relaxed), 1);
-        assert_eq!(storage.updates[0].prefix, Prefix::synthetic(1));
-    }
-
-    #[test]
-    fn forwarding_tee_bypasses_filters() {
-        let mut pool = DaemonPool::start("127.0.0.1:0", DaemonConfig::default()).unwrap();
-        // filters drop everything this peer sends for prefix 1
-        let vp = VpId::from_asn(Asn(65002));
-        let template = UpdateBuilder::announce(vp, Prefix::synthetic(1))
-            .path([65002, 2])
-            .build();
-        pool.install_filters(FilterSet::generate(
-            [],
-            [&template],
-            gill_core::FilterGranularity::VpPrefix,
-        ));
-        // ...but the operator subscribed to that prefix
-        let (_, sub) = pool.subscribe(vec![ForwardRule::for_prefix(Prefix::synthetic(1))]);
-        let addr = pool.local_addr();
-        let u = UpdateBuilder::announce(vp, Prefix::synthetic(1))
-            .path([65002, 9, 4])
-            .build();
-        std::thread::spawn(move || send_raw(addr, 65002, vec![u]))
-            .join()
-            .unwrap();
-        wait_received(&pool, 1);
-        pool.stop();
-        let mut storage = MemoryStorage::default();
-        pool.drain_into(&mut storage);
-        assert_eq!(storage.updates.len(), 0, "filters discarded the update");
-        let got: Vec<_> = sub.feed.try_iter().collect();
-        assert_eq!(got.len(), 1, "but the subscriber still received it");
-        assert_eq!(pool.stats().forwarded.load(Ordering::Relaxed), 1);
     }
 }

@@ -1,8 +1,9 @@
 //! GILL's collection platform (§8–§9, Fig. 9).
 //!
-//! * [`daemon`] — the per-peer BGP daemon: real RFC 4271 sessions over
-//!   TCP, filter application, bounded storage queue with loss accounting
-//!   (the Table-1 measurement hook).
+//! * [`daemon`] — the shared session pipeline every BGP and BMP session
+//!   feeds: filter application, bounded storage queue with loss
+//!   accounting (the Table-1 measurement hook), and the client side of
+//!   the RFC 4271 handshake.
 //! * [`peer`] — fake peers that establish sessions and send paced update
 //!   streams (the §8 load-test harness).
 //! * [`storage`] — storage backends: in-memory, MRT archive (the format
@@ -35,8 +36,8 @@ pub mod transport;
 pub mod validator;
 
 pub use daemon::{
-    handshake_client, handshake_server, run_session_with, DaemonConfig, DaemonPool, DaemonStats,
-    EstablishedSession, MessageStream, SessionCtx, UpdateSink, EPOCH_SLOTS,
+    handshake_client, DaemonConfig, DaemonPool, DaemonStats, MessageStream, SessionCtx, UpdateSink,
+    EPOCH_SLOTS,
 };
 pub use forwarding::{ForwardRule, Forwarder, Subscription};
 pub use fsm::{CloseReason, SessionConfig, SessionEvent, SessionFsm, SessionRole, SessionState};

@@ -100,34 +100,26 @@ impl QueryEngine {
         ])
     }
 
-    /// `/rib` — one VP's full table (live or at a point in time).
+    /// `/rib` — one VP's full table (live or at a point in time). `None`
+    /// when the store holds no update from `vp`.
     pub fn rib(store: &RouteStore, vp: VpId, at: Option<Timestamp>) -> Option<Json> {
-        let render = |entries: Vec<(Prefix, bgp_types::RibEntry)>| {
-            let mut entries = entries;
-            entries.sort_by_key(|(p, _)| *p);
-            Json::obj([
-                ("vp", Json::str(vp.to_string())),
-                (
-                    "at",
-                    at.map(|t| Json::U64(t.as_millis())).unwrap_or(Json::Null),
-                ),
-                ("count", Json::U64(entries.len() as u64)),
-                (
-                    "routes",
-                    Json::Arr(entries.iter().map(|(p, e)| entry_json(*p, e)).collect()),
-                ),
-            ])
-        };
-        match at {
+        let entries = match at {
             None => {
                 let rib = store.rib_now(vp)?;
-                Some(render(rib.iter().map(|(p, e)| (*p, e.clone())).collect()))
+                rib.iter().map(|(p, e)| (*p, e.clone())).collect()
             }
             Some(t) => {
                 let rib = store.rib_at(vp, t)?;
-                Some(render(rib.iter().map(|(p, e)| (*p, e.clone())).collect()))
+                rib.iter().map(|(p, e)| (*p, e.clone())).collect()
             }
-        }
+        };
+        Some(rib_json(vp, at, entries))
+    }
+
+    /// The `/rib` answer for a VP with no stored update: the shape of
+    /// [`QueryEngine::rib`] with `count: 0` and no routes.
+    pub fn empty_rib(vp: VpId, at: Option<Timestamp>) -> Json {
+        rib_json(vp, at, Vec::new())
     }
 
     /// `/updates` — the time-ranged update log.
@@ -235,6 +227,26 @@ fn route_json(v: &RouteView) -> Json {
     };
     obj.insert(0, ("vp".to_string(), Json::str(v.vp.to_string())));
     Json::Obj(obj)
+}
+
+fn rib_json(
+    vp: VpId,
+    at: Option<Timestamp>,
+    mut entries: Vec<(Prefix, bgp_types::RibEntry)>,
+) -> Json {
+    entries.sort_by_key(|(p, _)| *p);
+    Json::obj([
+        ("vp", Json::str(vp.to_string())),
+        (
+            "at",
+            at.map(|t| Json::U64(t.as_millis())).unwrap_or(Json::Null),
+        ),
+        ("count", Json::U64(entries.len() as u64)),
+        (
+            "routes",
+            Json::Arr(entries.iter().map(|(p, e)| entry_json(*p, e)).collect()),
+        ),
+    ])
 }
 
 fn entry_json(prefix: Prefix, e: &bgp_types::RibEntry) -> Json {

@@ -208,10 +208,11 @@ fn rib(req: &Request, store: &SharedStore) -> Response {
         Ok(t) => t,
         Err(resp) => return resp,
     };
-    match QueryEngine::rib(&store.read(), vp, at) {
-        Some(j) => json_ok(j),
-        None => Response::error(404, &format!("unknown vp {vp}")),
-    }
+    // a VP whose session is up but whose first update is not stored yet
+    // has an empty table, exactly like `at=` before its first update
+    json_ok(
+        QueryEngine::rib(&store.read(), vp, at).unwrap_or_else(|| QueryEngine::empty_rib(vp, at)),
+    )
 }
 
 fn updates(req: &Request, store: &SharedStore) -> Response {
@@ -299,10 +300,8 @@ fn mrt_updates(req: &Request, store: &SharedStore) -> Response {
         Ok(None) => return Response::error(400, "missing vp parameter"),
         Err(resp) => return resp,
     };
-    let store = store.read();
-    let Some(updates) = store.lane_updates(vp) else {
-        return Response::error(404, &format!("unknown vp {vp}"));
-    };
+    // no stored update from `vp` (yet) is an empty archive, not an error
+    let updates = store.read().lane_updates(vp).unwrap_or_default();
     match encode_updates_mrt(&updates) {
         Ok(bytes) => Response::octets(bytes),
         Err(e) => Response::error(400, &format!("mrt encode failed: {e}")),
@@ -403,7 +402,42 @@ mod tests {
             assert_eq!(get(&store, target).status, 400, "{target}");
         }
         assert_eq!(get(&store, "/nope").status, 404);
-        assert_eq!(get(&store, "/rib?vp=99").status, 404);
+    }
+
+    #[test]
+    fn vp_without_stored_updates_has_an_empty_rib() {
+        use crate::Json;
+        let store = filled_store();
+        // the body with the VP's identity blanked out: what is left is
+        // the shape and the table
+        let shape = |target: &str| {
+            let resp = get(&store, target);
+            assert_eq!(resp.status, 200, "{target}");
+            match Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap() {
+                Json::Obj(pairs) => pairs
+                    .into_iter()
+                    .map(|(k, v)| match k.as_str() {
+                        "vp" | "at" => (k, Json::Null),
+                        _ => (k, v),
+                    })
+                    .collect::<Vec<_>>(),
+                other => panic!("{target}: not an object: {other:?}"),
+            }
+        };
+        // never seen, vs. known but asked before its first update (t=1 s)
+        let unseen = shape("/rib?vp=99");
+        assert_eq!(unseen, shape("/rib?vp=65001&at=0"));
+        assert!(
+            unseen.contains(&("count".into(), Json::U64(0))),
+            "{unseen:?}"
+        );
+        assert!(unseen.contains(&("routes".into(), Json::Arr(Vec::new()))));
+        // the raw-MRT lane export of an unseen VP is an empty archive
+        let mrt = get(&store, "/mrt/updates?vp=99");
+        assert_eq!(mrt.status, 200);
+        assert!(mrt.body.is_empty());
+        // a malformed vp is still a client error
+        assert_eq!(get(&store, "/rib?vp=not-a-vp").status, 400);
     }
 
     #[test]

@@ -18,9 +18,9 @@ pub struct EventedConn<T: Transport> {
     out: Vec<u8>,
     off: usize,
     /// A write hit a hard error: the peer is gone. The event loop
-    /// surfaces this as EOF to the machine, mirroring the threaded
-    /// drive loop (and the deterministic harness), where a failed write
-    /// closes the session without waiting for the read side to notice.
+    /// surfaces this as EOF to the machine, mirroring the deterministic
+    /// harness, where a failed write closes the session without waiting
+    /// for the read side to notice.
     dead: bool,
 }
 

@@ -3,12 +3,11 @@
 //!
 //! The loop owns no protocol logic. `SessionFsm` and `BmpFsm` already
 //! decide *what* happens from bytes and ticks; the loop decides *when*,
-//! from readiness and timer fires — the exact split PR 2 introduced for
-//! the threaded drive loops, now amortized over thousands of sessions
+//! from readiness and timer fires, amortized over thousands of sessions
 //! per thread. Canonical intra-instant ordering: timers fire **before**
 //! I/O at the same clock instant, which matches the deterministic
-//! harness's tick-then-pump ordering and is what makes the
-//! evented-vs-threaded transcript digests comparable.
+//! harness's tick-then-pump ordering and is what makes the loop's
+//! transcript digests comparable with the harness's.
 
 use crate::conn::EventedConn;
 use crate::reactor::{Event, Interest, ReadinessSource, Token, WAKE_TOKEN};
@@ -101,7 +100,7 @@ struct Session<T: Transport> {
     /// BMP: whether a valid Initiation was seen.
     bmp_started: bool,
     /// EOF already delivered to the machine (deliver it exactly once,
-    /// like the harness endpoints and the threaded drive loop).
+    /// like the harness endpoints).
     eof_sent: bool,
 }
 

@@ -1,14 +1,13 @@
 //! gill-runtime — the readiness-driven session runtime.
 //!
-//! The threaded runtime (PRs 1–9) spends one OS thread per session:
-//! simple, debuggable, and exactly what the paper's per-VP "custom BGP
+//! One OS thread per session is what the paper's per-VP "custom BGP
 //! daemon" baseline looks like — but a route collector peering with
 //! thousands of vantage points cannot afford thousands of stacks and a
-//! scheduler thrashing between them. This crate multiplexes all of
-//! those sessions onto a small fixed worker set, without touching the
-//! protocol logic: the sans-I/O `SessionFsm` and `BmpFsm` already
-//! speak byte-in/byte-out, so the runtime only decides *when* bytes
-//! and ticks happen.
+//! scheduler thrashing between them. This crate, the collector's session
+//! runtime, multiplexes all of those sessions onto a small fixed worker
+//! set without touching the protocol logic: the sans-I/O `SessionFsm`
+//! and `BmpFsm` already speak byte-in/byte-out, so the runtime only
+//! decides *when* bytes and ticks happen.
 //!
 //! Layers, bottom up:
 //!
@@ -30,7 +29,7 @@
 //!   queueing.
 //! - [`eventloop`] — [`eventloop::EventLoop`], one thread's worth of
 //!   multiplexing: slab of sessions, the wheel, readiness dispatch,
-//!   and the same counter semantics as the threaded drive loops.
+//!   and the session counters of the shared `DaemonStats`/`BmpStats`.
 //! - [`pool`] — [`pool::EventedPool`], the deployable shape: worker 0
 //!   owns the listeners, accepted connections are capacity-checked and
 //!   dispatched round-robin, everything feeds one shared `DaemonPool`

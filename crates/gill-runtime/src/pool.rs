@@ -3,13 +3,11 @@
 //! BGP and BMP sessions.
 //!
 //! Worker 0 additionally owns the listeners. Accepted connections are
-//! capacity-checked (same 503-style shed as the threaded runtime),
-//! made non-blocking, and dispatched round-robin to the workers over
-//! crossbeam channels; the target worker's [`Waker`] interrupts its
-//! readiness wait so admission is immediate. Every session feeds the
-//! one shared [`DaemonPool`] pipeline (filters → validate → sink →
-//! bounded queue), so both runtimes share every downstream accounting
-//! invariant — the evented pool only changes *who blocks where*.
+//! capacity-checked (a 503-style shed), made non-blocking, and
+//! dispatched round-robin to the workers over crossbeam channels; the
+//! target worker's [`Waker`] interrupts its readiness wait so admission
+//! is immediate. Every session feeds the one shared [`DaemonPool`]
+//! pipeline (filters → validate → sink → bounded queue).
 
 use crate::eventloop::{EventLoop, LoopStats, Machine, LISTENER_TOKEN_BASE};
 use crate::reactor::{Reactor, Token, Waker};
@@ -19,9 +17,7 @@ use gill_bmp::config::BmpConfig;
 use gill_bmp::fsm::{BmpFsm, BmpSessionConfig};
 use gill_bmp::listener::BmpStats;
 use gill_collector::daemon::UpdateSink;
-use gill_collector::daemon::{
-    join_with_deadline, reject_over_capacity, DaemonConfig, DaemonPool, DaemonStats,
-};
+use gill_collector::daemon::{reject_over_capacity, DaemonConfig, DaemonPool, DaemonStats};
 use gill_collector::fsm::{SessionFsm, SessionRole};
 use gill_collector::transport::SystemClock;
 use parking_lot::Mutex;
@@ -188,8 +184,8 @@ impl Acceptor {
 impl EventedPool {
     /// Boots the evented runtime: builds the shared pipeline, binds the
     /// configured listeners, and spawns `rt.workers` event-loop
-    /// threads. `sink` is the optional live-stream tee (as in
-    /// [`DaemonPool::start_with_sink`]).
+    /// threads. `sink` is the optional live-stream tee every session
+    /// offers its post-filter accepted updates to.
     pub fn start(
         cfg: DaemonConfig,
         rt: RuntimeConfig,
@@ -244,10 +240,12 @@ impl EventedPool {
         let mut loop_stats = Vec::new();
         for _ in 0..workers {
             let reactor = Reactor::new()?;
-            let mut ctx = pool.session_ctx();
-            ctx.shutdown = stop.clone();
-            let mut el: EventLoop<TcpStream, Reactor> =
-                EventLoop::new(reactor, clock.clone(), ctx, bmp_stats.clone());
+            let mut el: EventLoop<TcpStream, Reactor> = EventLoop::new(
+                reactor,
+                clock.clone(),
+                pool.session_ctx(),
+                bmp_stats.clone(),
+            );
             el.set_active_counter(active.clone());
             el.set_bmp_active_counter(bmp_active.clone());
             el.set_known_peers(known_peers.clone());
@@ -320,8 +318,7 @@ impl EventedPool {
     }
 
     /// The shared pipeline (filters, counters, storage queue, §14
-    /// services). Query layers and storage drains attach here exactly
-    /// as they do for the threaded runtime.
+    /// services). Query layers and storage drains attach here.
     pub fn pool(&self) -> &DaemonPool {
         &self.pool
     }
@@ -378,26 +375,52 @@ impl EventedPool {
 
     /// Stops the runtime: listeners close with worker 0, every session
     /// winds down gracefully (BGP sends NOTIFICATION Cease), and the
-    /// workers are joined with a bounded deadline. The pipeline keeps
-    /// accepting drained updates until the caller stops the inner
-    /// [`DaemonPool`] (or this pool is dropped).
+    /// workers are joined with a bounded deadline. Then the inner
+    /// [`DaemonPool`] stops, so a running drain returns once the queue
+    /// is dry and a drain started afterwards empties it and returns.
     pub fn stop(&mut self) {
-        if self.stop.swap(true, Ordering::Relaxed) {
-            return;
+        if !self.stop.swap(true, Ordering::Relaxed) {
+            for (tx, waker) in self.txs.iter().zip(&self.wakers) {
+                let _ = tx.send(Cmd::Shutdown);
+                waker.wake();
+            }
+            let handles = std::mem::take(&mut self.workers);
+            let _stragglers = join_with_deadline(handles, Duration::from_secs(5));
         }
-        for (tx, waker) in self.txs.iter().zip(&self.wakers) {
-            let _ = tx.send(Cmd::Shutdown);
-            waker.wake();
-        }
-        let handles = std::mem::take(&mut self.workers);
-        let _stragglers = join_with_deadline(handles, Duration::from_secs(5));
+        self.pool.stop();
     }
 }
 
 impl Drop for EventedPool {
     fn drop(&mut self) {
         self.stop();
-        self.pool.request_stop();
+    }
+}
+
+/// Joins `handles` with a bounded deadline, polling completion; threads
+/// still running when the deadline passes are detached (dropped), and
+/// their count is returned.
+fn join_with_deadline(mut handles: Vec<std::thread::JoinHandle<()>>, deadline: Duration) -> usize {
+    let t0 = Instant::now();
+    loop {
+        handles = handles
+            .into_iter()
+            .filter_map(|h| {
+                if h.is_finished() {
+                    let _ = h.join();
+                    None
+                } else {
+                    Some(h)
+                }
+            })
+            .collect();
+        if handles.is_empty() {
+            return 0;
+        }
+        if t0.elapsed() >= deadline {
+            return handles.len();
+        }
+        std::thread::sleep(Duration::from_millis(10));
     }
 }
 

@@ -9,7 +9,7 @@
 //! ~4.6 hours; anything beyond parks in an overflow list and re-enters
 //! the wheel as the clock catches up (the cascade).
 //!
-//! Determinism contract (relied on by the evented-vs-threaded transcript
+//! Determinism contract (relied on by the evented-vs-harness transcript
 //! tests): timers never fire early, and [`TimerWheel::advance`] delivers
 //! expired timers sorted by `(deadline, arm sequence)` — wall-clock
 //! jitter in *when* the loop polls cannot reorder *what* it observes.

@@ -1,6 +1,6 @@
 //! Conformance: the evented runtime drives the very same `SessionFsm`
-//! to the very same observable transcript as the deterministic
-//! threaded-mode harness (`gill_collector::harness::run_scenario`),
+//! to the very same observable transcript as the deterministic session
+//! harness (`gill_collector::harness::run_scenario`, the reference),
 //! fault schedule by fault schedule.
 //!
 //! The reference runs both FSMs directly over a faulted [`sim_pair`]
@@ -232,8 +232,8 @@ fn run_scenario_evented(scenario: &Scenario, interleave_seed: u64) -> EventedOut
             eof_seen: false,
         };
 
-        // a fresh loop per attempt, exactly as the threaded runtime
-        // spawns a fresh drive loop per accepted connection
+        // a fresh loop per attempt, exactly as the harness starts a
+        // fresh server FSM per connection attempt
         let stats = Arc::new(DaemonStats::default());
         let (tx, _rx) = crossbeam::channel::unbounded();
         let ctx = SessionCtx::new(FilterHandle::empty().view(), tx, stats);

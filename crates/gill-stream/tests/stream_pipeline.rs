@@ -6,17 +6,18 @@
 //! interleave, and assert that three independent runs produce bit-identical
 //! per-subscriber frame sequences — overload behaviour included.
 //!
-//! The live test runs the real thing: a TCP BGP session into a
-//! `DaemonPool` with a `StreamPublisher` sink, fanned out over the chunked
-//! HTTP streaming endpoint.
+//! The live test runs the real thing: a TCP BGP session into an
+//! `EventedPool` with a `StreamPublisher` sink, fanned out over the
+//! chunked HTTP streaming endpoint.
 
 use bgp_types::{Asn, BgpUpdate, Prefix, Timestamp, UpdateBuilder, VpId};
 use bgp_wire::{BgpMessage, Notification, UpdateMessage};
 use gill_collector::{
-    handshake_client, run_scenario, DaemonConfig, DaemonPool, FaultSchedule, MessageStream,
-    Scenario, UpdateSink,
+    handshake_client, run_scenario, DaemonConfig, FaultSchedule, MessageStream, Scenario,
+    UpdateSink,
 };
 use gill_query::{RouteStore, ServerConfig};
+use gill_runtime::{EventedPool, RuntimeConfig};
 use gill_stream::{
     serve_streaming, BrokerConfig, Delivery, Frame, FramePayload, SlowPolicy, StreamBroker,
     StreamFilter,
@@ -205,8 +206,12 @@ fn live_tcp_session_fans_out_to_http_subscribers() {
         max_subscribers: 8,
     });
     let sink: Arc<dyn UpdateSink> = Arc::new(broker.publisher());
-    let mut pool =
-        DaemonPool::start_with_sink("127.0.0.1:0", DaemonConfig::default(), Some(sink)).unwrap();
+    let mut pool = EventedPool::start(
+        DaemonConfig::default(),
+        RuntimeConfig::default(),
+        Some(sink),
+    )
+    .unwrap();
     let store = Arc::new(parking_lot::RwLock::new(RouteStore::default()));
     let mut srv = serve_streaming(
         "127.0.0.1:0",
@@ -228,7 +233,7 @@ fn live_tcp_session_fans_out_to_http_subscribers() {
     assert_eq!(broker.subscribers(), 1);
 
     // a real BGP session over TCP delivers three announcements
-    let peer = pool.local_addr();
+    let peer = pool.bgp_addr().unwrap();
     std::thread::spawn(move || {
         let stream = TcpStream::connect(peer).unwrap();
         let mut ms = MessageStream::new(stream);

@@ -4,17 +4,16 @@
 //!
 //! Run with: `cargo run --example live_collector --release`
 
-use gill::collector::{
-    run_fake_peer, DaemonConfig, DaemonPool, FakePeerConfig, MemoryStorage, Storage,
-};
+use gill::collector::{run_fake_peer, DaemonConfig, FakePeerConfig, MemoryStorage, Storage};
 use gill::core::{FilterGranularity, FilterSet};
 use gill::prelude::*;
+use gill::runtime::{EventedPool, RuntimeConfig};
 use gill::wire::MrtReader;
 
 fn main() -> std::io::Result<()> {
-    // 1. Start the daemon pool (the collector).
-    let mut pool = DaemonPool::start("127.0.0.1:0", DaemonConfig::default())?;
-    let addr = pool.local_addr();
+    // 1. Start the collector: event-loop workers around the shared pipeline.
+    let mut pool = EventedPool::start(DaemonConfig::default(), RuntimeConfig::default(), None)?;
+    let addr = pool.bgp_addr().expect("bgp listener bound");
     println!("collector listening on {addr}");
 
     // 2. Install filters: drop prefix 0 from AS 65001 (a toy redundancy
@@ -27,7 +26,7 @@ fn main() -> std::io::Result<()> {
         [&template],
         FilterGranularity::VpPrefix,
     );
-    pool.install_filters(filters);
+    pool.pool().install_filters(filters);
 
     // 3. Three operators connect their routers (fake peers here), each
     //    sending 30 updates over 10 prefixes at ~50 upd/s.
@@ -50,7 +49,7 @@ fn main() -> std::io::Result<()> {
 
     // 4. Drain retained updates into storage and report.
     let mut mem = MemoryStorage::default();
-    pool.drain_into(&mut mem);
+    pool.pool().drain_into(&mut mem);
     let s = pool.stats();
     println!(
         "received {} | filtered {} | retained {} | lost {}",

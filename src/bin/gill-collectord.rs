@@ -2,7 +2,7 @@
 //! TCP, apply filters, archive retained updates as MRT (§8–§9).
 //!
 //! ```sh
-//! gill-collectord --listen 127.0.0.1:1790 --filters filters.txt \
+//! gill-collectord --listen 127.0.0.1:1790 --workers 4 --filters filters.txt \
 //!                 --archive collected.mrt --duration 60
 //! ```
 //!
@@ -23,17 +23,14 @@
 //! peers, demuxed into per-peer VPs and fed through the *same* filter /
 //! archive / stream pipeline as the BGP sessions.
 //!
-//! `--runtime evented` swaps the thread-per-session runtime for the
-//! readiness-driven one (`gill::runtime`): `--workers N` event-loop
-//! threads multiplex every BGP and BMP session over epoll, feeding the
-//! identical pipeline. `--runtime threaded` (the default) remains the
-//! reference implementation. `--max-sessions N` caps concurrent BGP
-//! sessions in both runtimes (over-capacity peers get NOTIFICATION
-//! Cease at accept).
+//! Sessions run on the readiness-driven runtime (`gill::runtime`):
+//! `--workers N` event-loop threads multiplex every BGP and BMP session
+//! over epoll (poll(2) elsewhere). `--max-sessions N` caps concurrent BGP
+//! sessions (over-capacity peers get NOTIFICATION Cease at accept).
 
-use gill::bmp::{BmpConfig, BmpPool, ListenerConfig};
+use gill::bmp::{BmpConfig, ListenerConfig};
 use gill::collector::{
-    DaemonConfig, DaemonPool, MrtStorage, Orchestrator, OrchestratorConfig, Storage, StoredUpdate,
+    DaemonConfig, MrtStorage, Orchestrator, OrchestratorConfig, Storage, StoredUpdate,
 };
 use gill::core::FilterSet;
 use gill::query::{QueryableStorage, RouteStore, ServerConfig};
@@ -83,14 +80,6 @@ fn run() -> Result<(), String> {
     let queue: usize = args.num("queue", 65536)?;
     let local_asn: u32 = args.num("local-asn", 65535)?;
     let max_sessions: usize = args.num("max-sessions", 4096)?;
-    let runtime = args
-        .optional("runtime")
-        .unwrap_or_else(|| "threaded".into());
-    if runtime != "threaded" && runtime != "evented" {
-        return Err(format!(
-            "--runtime must be threaded or evented, not {runtime}"
-        ));
-    }
     let workers: usize = args.num("workers", 4)?;
     let archive = PathBuf::from(
         args.optional("archive")
@@ -164,62 +153,33 @@ fn run() -> Result<(), String> {
     };
     let retrain: u64 = args.num("retrain-interval", 0)?;
 
-    // boot the chosen runtime; from here on both expose the same shared
-    // pipeline (`DaemonPool`), so the drain/report tail is common
-    let mut evented: Option<EventedPool> = None;
-    let mut threaded: Option<DaemonPool> = None;
-    let mut bmp: Option<BmpPool> = None;
-    if runtime == "evented" {
-        let ep = EventedPool::start(
-            daemon_cfg,
-            RuntimeConfig {
-                workers,
-                bgp_addr: Some(listen.clone()),
-                bmp: bmp_cfg.clone(),
-            },
-            sink,
-        )
-        .map_err(|e| e.to_string())?;
-        for a in ep.bmp_addrs() {
-            eprintln!("bmp listening on {a}");
-        }
-        eprintln!(
-            "collector AS{local_asn} (evented, {workers} workers) listening on {} for {duration}s",
-            ep.bgp_addr().expect("bgp listener")
-        );
-        evented = Some(ep);
-    } else {
-        let pool =
-            DaemonPool::start_with_sink(&listen, daemon_cfg, sink).map_err(|e| e.to_string())?;
-        if let Some(cfg) = &bmp_cfg {
-            let bp = BmpPool::start(cfg, pool.session_ctx()).map_err(|e| e.to_string())?;
-            for a in bp.local_addrs() {
-                eprintln!("bmp listening on {a}");
-            }
-            bmp = Some(bp);
-        }
-        eprintln!(
-            "collector AS{local_asn} listening on {} for {duration}s",
-            pool.local_addr()
-        );
-        threaded = Some(pool);
+    let mut runtime = EventedPool::start(
+        daemon_cfg,
+        RuntimeConfig {
+            workers,
+            bgp_addr: Some(listen),
+            bmp: bmp_cfg,
+        },
+        sink,
+    )
+    .map_err(|e| e.to_string())?;
+    for a in runtime.bmp_addrs() {
+        eprintln!("bmp listening on {a}");
     }
-    {
-        let pool = evented
-            .as_mut()
-            .map(|e| e.pool_mut())
-            .or(threaded.as_mut())
-            .expect("a runtime is up");
-        pool.install_filters(filters);
-        // --retrain-interval SECS: attach a live orchestrator that mirrors
-        // the unfiltered stream and publishes a fresh filter epoch
-        // periodically (0 = no retraining; --filters stays in force)
-        if retrain > 0 {
-            let orch = Orchestrator::new(OrchestratorConfig::default(), Vec::new(), HashMap::new());
-            pool.attach_orchestrator(orch, Duration::from_secs(retrain))
-                .map_err(|e| e.to_string())?;
-            eprintln!("orchestrator attached, retraining every {retrain}s");
-        }
+    eprintln!(
+        "collector AS{local_asn} ({workers} workers) listening on {} for {duration}s",
+        runtime.bgp_addr().expect("bgp listener")
+    );
+    let pool = runtime.pool_mut();
+    pool.install_filters(filters);
+    // --retrain-interval SECS: attach a live orchestrator that mirrors the
+    // unfiltered stream and publishes a fresh filter epoch periodically
+    // (0 = no retraining; --filters stays in force)
+    if retrain > 0 {
+        let orch = Orchestrator::new(OrchestratorConfig::default(), Vec::new(), HashMap::new());
+        pool.attach_orchestrator(orch, Duration::from_secs(retrain))
+            .map_err(|e| e.to_string())?;
+        eprintln!("orchestrator attached, retraining every {retrain}s");
     }
 
     let file = std::fs::File::create(&archive).map_err(|e| e.to_string())?;
@@ -231,109 +191,62 @@ fn run() -> Result<(), String> {
     };
     // drain concurrently for the configured duration
     let storage = std::thread::scope(|s| {
-        let pool_ref = evented
-            .as_ref()
-            .map(|e| e.pool())
-            .or(threaded.as_ref())
-            .expect("a runtime is up");
+        let pool = runtime.pool();
         let drain = s.spawn(move || {
             let mut st = storage;
-            pool_ref.drain_into(&mut st);
+            pool.drain_into(&mut st);
             st
         });
         std::thread::sleep(Duration::from_secs(duration));
-        if let Some(bp) = &bmp {
-            bp.request_stop();
-        }
-        pool_ref.request_stop();
+        pool.request_stop();
         drain.join().expect("storage thread")
     });
 
+    // wind the runtime down (sessions close gracefully, workers join with
+    // a bounded deadline) and report its counters
     let load = |c: &std::sync::atomic::AtomicUsize| c.load(std::sync::atomic::Ordering::Relaxed);
-    // wind the runtime down (sessions close gracefully, threads join
-    // with bounded deadlines) and report its counters
-    if let Some(mut ep) = evented.take() {
-        ep.stop();
-        let t = ep.totals();
+    runtime.stop();
+    let t = runtime.totals();
+    println!(
+        "evented runtime: {workers} workers | accepted {} | shed-at-accept {} | \
+         ready-events {} | timer-fires {} | wakes {} | still-registered {}",
+        t.accepted, t.accept_shed, t.ready_events, t.timer_fires, t.wakes, t.registered,
+    );
+    if !runtime.bmp_addrs().is_empty() {
+        let b = runtime.bmp_stats();
         println!(
-            "evented runtime: {workers} workers | accepted {} | shed-at-accept {} | \
-             ready-events {} | timer-fires {} | wakes {} | still-registered {}",
-            t.accepted, t.accept_shed, t.ready_events, t.timer_fires, t.wakes, t.registered,
+            "bmp sessions {} opened / {} closed | peers {} up / {} down | \
+             updates {} | unknown-peer {} | denied {} | accept-rejected {}",
+            load(&b.sessions_opened),
+            load(&b.sessions_closed),
+            load(&b.peers_up),
+            load(&b.peers_down),
+            load(&b.updates),
+            load(&b.unknown_peer),
+            load(&b.peers_denied),
+            load(&b.accept_rejected),
         );
-        let b = ep.bmp_stats();
-        if !ep.bmp_addrs().is_empty() {
-            println!(
-                "bmp sessions {} opened / {} closed | peers {} up / {} down | \
-                 updates {} | unknown-peer {} | denied {} | accept-rejected {}",
-                load(&b.sessions_opened),
-                load(&b.sessions_closed),
-                load(&b.peers_up),
-                load(&b.peers_down),
-                load(&b.updates),
-                load(&b.unknown_peer),
-                load(&b.peers_denied),
-                load(&b.accept_rejected),
-            );
-        }
-        let stats = ep.pool().stats();
+    }
+    let stats = runtime.stats();
+    println!(
+        "received {} | filtered {} | retained {} | lost {} | filter epoch {}",
+        load(&stats.received),
+        load(&stats.filtered),
+        load(&stats.retained),
+        load(&stats.lost),
+        stats
+            .filter_epoch
+            .load(std::sync::atomic::Ordering::Relaxed),
+    );
+    if let Some((broker, mut server, _)) = stream {
+        broker.close();
         println!(
-            "received {} | filtered {} | retained {} | lost {} | filter epoch {}",
-            load(&stats.received),
-            load(&stats.filtered),
-            load(&stats.retained),
-            load(&stats.lost),
-            stats
-                .filter_epoch
-                .load(std::sync::atomic::Ordering::Relaxed),
+            "streamed {} | shed {} | peak subscribers seen {}",
+            load(&stats.stream_published),
+            load(&stats.stream_shed),
+            load(&stats.stream_subscribers),
         );
-        if let Some((broker, mut server, _)) = stream {
-            broker.close();
-            println!(
-                "streamed {} | shed {} | peak subscribers seen {}",
-                load(&stats.stream_published),
-                load(&stats.stream_shed),
-                load(&stats.stream_subscribers),
-            );
-            server.stop();
-        }
-    } else if let Some(mut pool) = threaded.take() {
-        pool.stop();
-        let stats = pool.stats();
-        println!(
-            "received {} | filtered {} | retained {} | lost {} | filter epoch {}",
-            load(&stats.received),
-            load(&stats.filtered),
-            load(&stats.retained),
-            load(&stats.lost),
-            stats
-                .filter_epoch
-                .load(std::sync::atomic::Ordering::Relaxed),
-        );
-        if let Some(mut bp) = bmp {
-            let b = bp.stats();
-            println!(
-                "bmp sessions {} opened / {} closed | peers {} up / {} down | \
-                 updates {} | unknown-peer {} | denied {}",
-                load(&b.sessions_opened),
-                load(&b.sessions_closed),
-                load(&b.peers_up),
-                load(&b.peers_down),
-                load(&b.updates),
-                load(&b.unknown_peer),
-                load(&b.peers_denied),
-            );
-            bp.stop();
-        }
-        if let Some((broker, mut server, _)) = stream {
-            broker.close();
-            println!(
-                "streamed {} | shed {} | peak subscribers seen {}",
-                load(&stats.stream_published),
-                load(&stats.stream_shed),
-                load(&stats.stream_subscribers),
-            );
-            server.stop();
-        }
+        server.stop();
     }
     let written = storage.stored();
     storage.archive.into_inner().map_err(|e| e.to_string())?;
@@ -348,7 +261,7 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: gill-collectord [--listen ADDR] [--filters filters.txt] \
-                 [--runtime threaded|evented] [--workers N] [--max-sessions N] \
+                 [--workers N] [--max-sessions N] \
                  [--retrain-interval SECS] [--archive out.mrt] [--duration SECS] \
                  [--queue N] [--local-asn N] [--stream-addr HOST:PORT] \
                  [--ring-capacity FRAMES] [--max-subscribers N] \

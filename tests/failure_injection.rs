@@ -2,8 +2,9 @@
 //! disconnects, and corrupted archives without crashing or corrupting
 //! state.
 
-use gill::collector::{handshake_client, DaemonConfig, DaemonPool, MemoryStorage, MessageStream};
+use gill::collector::{handshake_client, DaemonConfig, MemoryStorage, MessageStream};
 use gill::prelude::*;
+use gill::runtime::{EventedPool, RuntimeConfig};
 use gill::wire::{BgpMessage, MrtReader, MrtRecord, MrtWriter, UpdateMessage};
 use std::io::Write;
 use std::net::TcpStream;
@@ -11,7 +12,7 @@ use std::time::Duration;
 
 /// Deterministic drain: waits until the pool's received counter reaches
 /// `expect` (bounded), instead of sleeping an arbitrary wall-clock amount.
-fn wait_received(pool: &DaemonPool, expect: usize) {
+fn wait_received(pool: &EventedPool, expect: usize) {
     for _ in 0..500 {
         if pool
             .stats()
@@ -39,8 +40,9 @@ fn send_one_update(addr: std::net::SocketAddr, asn: u32, prefix: u32) {
 
 #[test]
 fn garbage_peer_does_not_poison_the_pool() {
-    let mut pool = DaemonPool::start("127.0.0.1:0", DaemonConfig::default()).unwrap();
-    let addr = pool.local_addr();
+    let mut pool =
+        EventedPool::start(DaemonConfig::default(), RuntimeConfig::default(), None).unwrap();
+    let addr = pool.bgp_addr().unwrap();
 
     // a peer that sends pure garbage instead of an OPEN
     {
@@ -62,7 +64,7 @@ fn garbage_peer_does_not_poison_the_pool() {
     wait_received(&pool, 1);
     pool.stop();
     let mut storage = MemoryStorage::default();
-    pool.drain_into(&mut storage);
+    pool.pool().drain_into(&mut storage);
     assert!(
         storage
             .updates
@@ -75,8 +77,9 @@ fn garbage_peer_does_not_poison_the_pool() {
 
 #[test]
 fn abrupt_disconnect_mid_message_is_contained() {
-    let mut pool = DaemonPool::start("127.0.0.1:0", DaemonConfig::default()).unwrap();
-    let addr = pool.local_addr();
+    let mut pool =
+        EventedPool::start(DaemonConfig::default(), RuntimeConfig::default(), None).unwrap();
+    let addr = pool.bgp_addr().unwrap();
     {
         // handshake on a cloned handle, then write half a message on the
         // raw socket and slam the connection shut
@@ -98,7 +101,7 @@ fn abrupt_disconnect_mid_message_is_contained() {
     wait_received(&pool, 1);
     pool.stop();
     let mut storage = MemoryStorage::default();
-    pool.drain_into(&mut storage);
+    pool.pool().drain_into(&mut storage);
     assert!(storage
         .updates
         .iter()

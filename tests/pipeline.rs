@@ -131,8 +131,9 @@ fn wire_roundtrip_of_simulated_stream() {
 #[test]
 fn orchestrator_drives_the_daemon_pool() {
     use gill::collector::{
-        DaemonConfig, DaemonPool, FakePeerConfig, MemoryStorage, Orchestrator, OrchestratorConfig,
+        DaemonConfig, FakePeerConfig, MemoryStorage, Orchestrator, OrchestratorConfig,
     };
+    use gill::runtime::{EventedPool, RuntimeConfig};
     let topo = TopologyBuilder::artificial(120, 5).build();
     let cats = categories(&topo);
     let vps = topo.pick_vps(0.25, 3);
@@ -154,9 +155,10 @@ fn orchestrator_drives_the_daemon_pool() {
         .expect("first refresh runs");
 
     // install into a live pool and push updates through real TCP
-    let mut pool = DaemonPool::start("127.0.0.1:0", DaemonConfig::default()).unwrap();
-    pool.install_filters(orch.filters().clone());
-    let addr = pool.local_addr();
+    let mut pool =
+        EventedPool::start(DaemonConfig::default(), RuntimeConfig::default(), None).unwrap();
+    pool.pool().install_filters(orch.filters().clone());
+    let addr = pool.bgp_addr().unwrap();
     let h = std::thread::spawn(move || {
         gill::collector::run_fake_peer(
             addr,
@@ -183,7 +185,7 @@ fn orchestrator_drives_the_daemon_pool() {
     }
     pool.stop();
     let mut storage = MemoryStorage::default();
-    pool.drain_into(&mut storage);
+    pool.pool().drain_into(&mut storage);
     let s = pool.stats();
     let rx = s.received.load(std::sync::atomic::Ordering::Relaxed);
     assert_eq!(rx, 50);

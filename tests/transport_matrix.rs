@@ -1,14 +1,15 @@
 //! Transport matrix: the same session-layer invariants checked over both
 //! transports the collector supports. `GILL_TRANSPORT=tcp` runs them over
-//! real sockets through the daemon pool; `GILL_TRANSPORT=sim` (the
+//! real sockets through the evented pool; `GILL_TRANSPORT=sim` (the
 //! default) runs them in-process over `SimTransport` on a virtual clock.
 //! CI runs this suite once per backend.
 
 use gill::collector::{
-    handshake_client, run_scenario, DaemonConfig, DaemonPool, FaultSchedule, MemoryStorage,
-    MessageStream, Scenario,
+    handshake_client, run_scenario, DaemonConfig, FaultSchedule, MemoryStorage, MessageStream,
+    Scenario,
 };
 use gill::prelude::*;
+use gill::runtime::{EventedPool, RuntimeConfig};
 use gill::wire::{BgpMessage, Notification, UpdateMessage};
 use std::net::{Ipv4Addr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -67,8 +68,10 @@ fn deliver_over_backend(n: u32) -> Vec<Prefix> {
                 .collect()
         }
         Backend::Tcp => {
-            let mut pool = DaemonPool::start("127.0.0.1:0", DaemonConfig::default()).unwrap();
-            let addr = pool.local_addr();
+            let mut pool =
+                EventedPool::start(DaemonConfig::default(), RuntimeConfig::default(), None)
+                    .unwrap();
+            let addr = pool.bgp_addr().unwrap();
             {
                 let stream = TcpStream::connect(addr).unwrap();
                 let mut ms = MessageStream::new(stream);
@@ -82,7 +85,7 @@ fn deliver_over_backend(n: u32) -> Vec<Prefix> {
             wait_counter(&pool.stats().received, n as usize);
             pool.stop();
             let mut storage = MemoryStorage::default();
-            pool.drain_into(&mut storage);
+            pool.pool().drain_into(&mut storage);
             storage.updates.iter().map(|u| u.prefix).collect()
         }
     }
@@ -123,8 +126,10 @@ fn malformed_open_is_rejected_and_the_next_peer_is_served() {
             assert!(out.completed);
         }
         Backend::Tcp => {
-            let mut pool = DaemonPool::start("127.0.0.1:0", DaemonConfig::default()).unwrap();
-            let addr = pool.local_addr();
+            let mut pool =
+                EventedPool::start(DaemonConfig::default(), RuntimeConfig::default(), None)
+                    .unwrap();
+            let addr = pool.bgp_addr().unwrap();
             {
                 use std::io::Write;
                 let mut s = TcpStream::connect(addr).unwrap();
@@ -165,8 +170,10 @@ fn graceful_cease_closes_without_errors() {
             assert!(!joined.contains("HoldTimerExpired"));
         }
         Backend::Tcp => {
-            let mut pool = DaemonPool::start("127.0.0.1:0", DaemonConfig::default()).unwrap();
-            let addr = pool.local_addr();
+            let mut pool =
+                EventedPool::start(DaemonConfig::default(), RuntimeConfig::default(), None)
+                    .unwrap();
+            let addr = pool.bgp_addr().unwrap();
             {
                 let stream = TcpStream::connect(addr).unwrap();
                 let mut ms = MessageStream::new(stream);
