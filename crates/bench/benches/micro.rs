@@ -185,6 +185,7 @@ fn bench_query_store(c: &mut Criterion) {
                     None,
                     Timestamp::from_millis(t_mid.as_millis() / 2),
                     t_mid,
+                    usize::MAX,
                 )
                 .len()
         })

@@ -6,6 +6,13 @@
 //! fixed set of workers parse requests (GET only) under a per-connection
 //! read deadline, so a stalled client can never pin a worker forever.
 //!
+//! The acceptor blocks in `accept`; [`HttpServer::stop`] sets the stop
+//! flag and wakes it with one loopback connect to the listening port,
+//! which the acceptor recognises by the flag and neither counts nor
+//! queues. Each response (head and body) goes out in **one write**: a
+//! head written alone would leave the body behind Nagle's algorithm until
+//! the client's delayed ACK (~40 ms) for the head arrived.
+//!
 //! Connections are **keep-alive**: a worker serves up to
 //! [`ServerConfig::max_requests_per_conn`] sequential requests per socket
 //! (pipelined requests are handled — bytes read past one request's head
@@ -21,7 +28,7 @@
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -173,7 +180,9 @@ fn status_text(code: u16) -> &'static str {
 pub struct ServerStats {
     /// Connections accepted.
     pub accepted: AtomicUsize,
-    /// Requests answered (any status).
+    /// Responses handed to the socket (any status), counted just before
+    /// the write: a client that has read a response never sees this
+    /// counter behind it. A response whose write fails is still counted.
     pub served: AtomicUsize,
     /// Connections refused because the queue was full.
     pub refused: AtomicUsize,
@@ -188,7 +197,9 @@ pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     stats: Arc<ServerStats>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    /// The acceptor thread, until [`HttpServer::stop`] has woken it.
+    acceptor: Option<std::thread::JoinHandle<()>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
     streamers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
 
@@ -211,7 +222,6 @@ impl HttpServer {
     {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ServerStats::default());
         let handler = Arc::new(handler);
@@ -219,7 +229,7 @@ impl HttpServer {
             Arc::new(Mutex::new(Vec::new()));
         let (tx, rx): (Sender<TcpStream>, Receiver<TcpStream>) = bounded(cfg.backlog);
 
-        let mut threads = Vec::new();
+        let mut workers = Vec::new();
         for _ in 0..cfg.workers.max(1) {
             let rx = rx.clone();
             let stop = stop.clone();
@@ -227,7 +237,7 @@ impl HttpServer {
             let handler = handler.clone();
             let cfg = cfg.clone();
             let streamers = streamers.clone();
-            threads.push(std::thread::spawn(move || loop {
+            workers.push(std::thread::spawn(move || loop {
                 match rx.recv_timeout(Duration::from_millis(50)) {
                     Ok(stream) => {
                         serve_connection(stream, &cfg, &*handler, &stats, &streamers, &stop)
@@ -242,40 +252,41 @@ impl HttpServer {
             }));
         }
 
-        {
+        let acceptor = {
             let stop = stop.clone();
             let stats = stats.clone();
-            threads.push(std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            stats.accepted.fetch_add(1, Ordering::Relaxed);
-                            match tx.try_send(stream) {
-                                Ok(()) => {}
-                                Err(TrySendError::Full(mut stream)) => {
-                                    stats.refused.fetch_add(1, Ordering::Relaxed);
-                                    let _ = stream.write_all(
-                                        b"HTTP/1.1 503 Service Unavailable\r\n\
-                                          Content-Length: 0\r\nConnection: close\r\n\r\n",
-                                    );
-                                }
-                                Err(TrySendError::Disconnected(_)) => return,
+            std::thread::spawn(move || loop {
+                match listener.accept() {
+                    // after `stop` the connection is the wake-up (or a
+                    // client racing it): neither is counted or served
+                    Ok(_) if stop.load(Ordering::SeqCst) => return,
+                    Ok((stream, _)) => {
+                        stats.accepted.fetch_add(1, Ordering::Relaxed);
+                        match tx.try_send(stream) {
+                            Ok(()) => {}
+                            Err(TrySendError::Full(mut stream)) => {
+                                stats.refused.fetch_add(1, Ordering::Relaxed);
+                                let _ = stream.write_all(
+                                    b"HTTP/1.1 503 Service Unavailable\r\n\
+                                      Content-Length: 0\r\nConnection: close\r\n\r\n",
+                                );
                             }
+                            Err(TrySendError::Disconnected(_)) => return,
                         }
-                        Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
                     }
+                    Err(_) if stop.load(Ordering::SeqCst) => return,
+                    // out of fds and the like: back off instead of spinning
+                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
                 }
-            }));
-        }
+            })
+        };
 
         Ok(HttpServer {
             addr: local,
             stop,
             stats,
-            threads,
+            acceptor: Some(acceptor),
+            workers,
             streamers,
         })
     }
@@ -292,9 +303,26 @@ impl HttpServer {
 
     /// Stops accepting, drains workers, joins all threads (streamers
     /// included — takeover closures observe the stop flag and exit).
+    ///
+    /// The blocked acceptor is woken by one loopback connect to the
+    /// listening port (localhost when bound to an unspecified address).
+    /// If that connect fails the acceptor is left detached rather than
+    /// joined, so `stop` stays bounded.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for t in self.threads.drain(..) {
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(acceptor) = self.acceptor.take() {
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+                let _ = acceptor.join();
+            }
+        }
+        for t in self.workers.drain(..) {
             let _ = t.join();
         }
         let handles: Vec<_> = self
@@ -385,8 +413,8 @@ fn serve_connection(
                 .is_some_and(|v| v.eq_ignore_ascii_case("close"));
         match handler(&req) {
             Handled::Response(response) => {
-                let ok = write_response(&mut stream, &response, keep_alive);
                 stats.served.fetch_add(1, Ordering::Relaxed);
+                let ok = write_response(&mut stream, &response, keep_alive);
                 if !ok || !keep_alive {
                     let _ = stream.shutdown(std::net::Shutdown::Both);
                     return;
@@ -407,13 +435,15 @@ fn serve_connection(
 }
 
 fn finish(stream: &mut TcpStream, response: Response, stats: &ServerStats) {
-    let _ = write_response(stream, &response, false);
     stats.served.fetch_add(1, Ordering::Relaxed);
+    let _ = write_response(stream, &response, false);
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
+/// Writes head and body with one `write_all`, so the body never waits on
+/// the client's delayed ACK of a separately sent head.
 fn write_response(stream: &mut TcpStream, response: &Response, keep_alive: bool) -> bool {
-    let header = format!(
+    let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         response.status,
         status_text(response.status),
@@ -421,10 +451,10 @@ fn write_response(stream: &mut TcpStream, response: &Response, keep_alive: bool)
         response.body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
-    stream
-        .write_all(header.as_bytes())
-        .and_then(|_| stream.write_all(&response.body))
-        .is_ok()
+    let mut out = Vec::with_capacity(head.len() + response.body.len());
+    out.extend_from_slice(head.as_bytes());
+    out.extend_from_slice(&response.body);
+    stream.write_all(&out).is_ok()
 }
 
 enum HeadError {
@@ -830,6 +860,100 @@ mod tests {
         }
         srv.stop();
         assert_eq!(srv.stats().served.load(Ordering::Relaxed), 16);
+    }
+
+    /// Response bodies larger than one small segment, so a head written
+    /// on its own would hold them back until the client ACKs the head;
+    /// `/huge` is far larger than the loopback socket buffers, so its
+    /// write cannot finish before the client reads.
+    const HUGE: usize = 32 << 20;
+
+    fn bulky_server() -> HttpServer {
+        HttpServer::start("127.0.0.1:0", ServerConfig::default(), |req| {
+            match req.path.as_str() {
+                "/huge" => Response::octets(vec![b'x'; HUGE]),
+                path => Response::json(format!(
+                    "{{\"path\":\"{path}\",\"pad\":\"{}\"}}",
+                    "x".repeat(2_000)
+                )),
+            }
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn keep_alive_responses_do_not_wait_for_delayed_acks() {
+        let mut srv = bulky_server();
+        let mut s = TcpStream::connect(srv.local_addr()).unwrap();
+        let mut carry = Vec::new();
+        let t0 = std::time::Instant::now();
+        for i in 0..20 {
+            // one write: `write!` would split the request into pieces and
+            // put the client's own Nagle stall into the measurement
+            s.write_all(format!("GET /r{i} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
+                .unwrap();
+            let (code, body, keep_alive) = read_response(&mut s, &mut carry);
+            assert_eq!(code, 200);
+            assert!(body.len() > 2_000 && keep_alive);
+        }
+        // a ~40 ms delayed-ACK stall per response would need >= 800 ms
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(400),
+            "20 requests took {took:?}"
+        );
+        srv.stop();
+    }
+
+    #[test]
+    fn served_is_counted_before_the_client_can_read_the_response() {
+        let srv = bulky_server();
+        let mut s = TcpStream::connect(srv.local_addr()).unwrap();
+        s.write_all(b"GET /huge HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        // nothing read yet, so only a count taken before the write shows
+        let t0 = std::time::Instant::now();
+        while srv.stats().served.load(Ordering::Relaxed) == 0 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(2),
+                "not counted while its write is pending"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut carry = Vec::new();
+        assert_eq!(read_response(&mut s, &mut carry).1.len(), HUGE);
+        for i in 2..=10 {
+            s.write_all(format!("GET /r{i} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
+                .unwrap();
+            read_response(&mut s, &mut carry);
+            // no stop(): the counter must already include what was read
+            assert_eq!(srv.stats().served.load(Ordering::Relaxed), i);
+        }
+    }
+
+    #[test]
+    fn stop_wakes_the_blocking_acceptor_without_counting_the_wake() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let mut srv = HttpServer::start(bind, ServerConfig::default(), |_| {
+                Response::json("{}".into())
+            })
+            .unwrap();
+            let port = srv.local_addr().port();
+            let (code, _) = get(SocketAddr::from(([127, 0, 0, 1], port)), "/x");
+            assert_eq!(code, 200);
+            let t0 = std::time::Instant::now();
+            srv.stop();
+            let took = t0.elapsed();
+            assert!(
+                took < Duration::from_secs(1),
+                "stop on {bind} took {took:?}"
+            );
+            assert_eq!(srv.stats().accepted.load(Ordering::Relaxed), 1, "{bind}");
+            assert!(
+                TcpStream::connect(("127.0.0.1", port)).is_err(),
+                "{bind}: listener closed after stop"
+            );
+        }
     }
 
     #[test]

@@ -103,28 +103,26 @@ impl QueryEngine {
     /// `/rib` — one VP's full table (live or at a point in time). `None`
     /// when the store holds no update from `vp`.
     pub fn rib(store: &RouteStore, vp: VpId, at: Option<Timestamp>) -> Option<Json> {
-        let entries = match at {
-            None => {
-                let rib = store.rib_now(vp)?;
-                rib.iter().map(|(p, e)| (*p, e.clone())).collect()
-            }
-            Some(t) => {
-                let rib = store.rib_at(vp, t)?;
-                rib.iter().map(|(p, e)| (*p, e.clone())).collect()
-            }
-        };
-        Some(rib_json(vp, at, entries))
+        Some(rib_json(vp, at, &store.rib_routes(vp, at)?))
     }
 
     /// The `/rib` answer for a VP with no stored update: the shape of
     /// [`QueryEngine::rib`] with `count: 0` and no routes.
     pub fn empty_rib(vp: VpId, at: Option<Timestamp>) -> Json {
-        rib_json(vp, at, Vec::new())
+        rib_json(vp, at, &[])
     }
 
-    /// `/updates` — the time-ranged update log.
+    /// `/updates` — the time-ranged update log. Only `limit + 1` updates
+    /// are rebuilt: one past the limit is enough to tell `truncated`.
     pub fn updates(store: &RouteStore, q: &UpdateQuery) -> Json {
-        let all = store.updates_in_range(q.prefix.as_ref(), q.join, q.vp, q.from, q.to);
+        let all = store.updates_in_range(
+            q.prefix.as_ref(),
+            q.join,
+            q.vp,
+            q.from,
+            q.to,
+            q.limit.saturating_add(1),
+        );
         let truncated = all.len() > q.limit;
         let shown = &all[..all.len().min(q.limit)];
         Json::obj([
@@ -229,12 +227,8 @@ fn route_json(v: &RouteView) -> Json {
     Json::Obj(obj)
 }
 
-fn rib_json(
-    vp: VpId,
-    at: Option<Timestamp>,
-    mut entries: Vec<(Prefix, bgp_types::RibEntry)>,
-) -> Json {
-    entries.sort_by_key(|(p, _)| *p);
+/// Renders a `/rib` answer; `entries` come sorted by `(prefix, path id)`.
+fn rib_json(vp: VpId, at: Option<Timestamp>, entries: &[(Prefix, bgp_types::RibEntry)]) -> Json {
     Json::obj([
         ("vp", Json::str(vp.to_string())),
         (

@@ -168,6 +168,20 @@ impl VpLane {
         let i = self.snapshots.partition_point(|s| s.idx <= k);
         i.checked_sub(1).map(|i| &self.snapshots[i])
     }
+
+    /// The table this lane held at `t`: the latest snapshot at or before
+    /// `t` (an O(1) clone) plus replay of the bounded tail.
+    fn table_at(&self, t: Timestamp) -> CowRib {
+        let k = self.count_until(t.as_millis());
+        let (mut rib, start) = match self.snapshot_before(k) {
+            Some(s) => (s.rib.clone(), s.idx),
+            None => (CowRib::new(), 0),
+        };
+        for i in start..k {
+            RouteStore::apply_rec(&mut rib, &self.recs[i], self.raw_times[i]);
+        }
+        rib
+    }
 }
 
 /// One fixed-width time bucket: prefix id → references to the updates whose
@@ -599,31 +613,33 @@ impl RouteStore {
     /// plus replay of the (bounded) tail. Returns `None` for an unknown VP.
     pub fn rib_at(&self, vp: VpId, t: Timestamp) -> Option<Rib> {
         let lane = self.lanes.get(&vp)?;
-        let k = lane.count_until(t.as_millis());
-        let (mut rib, start) = match lane.snapshot_before(k) {
-            Some(s) => (s.rib.clone(), s.idx),
-            None => (CowRib::new(), 0),
-        };
-        for i in start..k {
-            Self::apply_rec(&mut rib, &lane.recs[i], lane.raw_times[i]);
-        }
-        Some(self.materialize(&rib))
+        Some(self.materialize(&lane.table_at(t)))
     }
 
     /// Number of routes `vp` held at `t` — the reconstruction of [`rib_at`]
     /// without the final materialization into a [`Rib`], so its cost is the
     /// snapshot lookup plus the bounded replay alone.
     pub fn rib_len_at(&self, vp: VpId, t: Timestamp) -> Option<usize> {
+        Some(self.lanes.get(&vp)?.table_at(t).len())
+    }
+
+    /// The routes of `vp` — live, or at `at` — sorted by `(prefix, ADD-PATH
+    /// id)`, read straight from the lane's table (`/rib`). Returns `None`
+    /// for an unknown VP.
+    pub fn rib_routes(&self, vp: VpId, at: Option<Timestamp>) -> Option<Vec<(Prefix, RibEntry)>> {
         let lane = self.lanes.get(&vp)?;
-        let k = lane.count_until(t.as_millis());
-        let (mut rib, start) = match lane.snapshot_before(k) {
-            Some(s) => (s.rib.clone(), s.idx),
-            None => (CowRib::new(), 0),
+        let past;
+        let table = match at {
+            None => &lane.rib,
+            Some(t) => {
+                past = lane.table_at(t);
+                &past
+            }
         };
-        for i in start..k {
-            Self::apply_rec(&mut rib, &lane.recs[i], lane.raw_times[i]);
-        }
-        Some(rib.len())
+        let mut keyed = Vec::with_capacity(table.len());
+        table.for_each(|key, e| keyed.push((self.interner.prefixes.get(key.prefix), key.path, *e)));
+        keyed.sort_unstable_by_key(|(p, path_id, _)| (*p, *path_id));
+        Some(keyed.iter().map(|(p, _, e)| (*p, self.entry(e))).collect())
     }
 
     /// Number of updates `rib_at` would replay after the snapshot (used by
@@ -750,11 +766,15 @@ impl RouteStore {
         out
     }
 
-    /// Updates touching `prefix` in `[from, to]`, via the shard indexes.
+    /// Updates touching `prefix` in `[from, to]`, at most the first `cap`
+    /// of them (`usize::MAX` for all).
     ///
     /// `join` controls prefix matching: exact, or any stored prefix covered
     /// by the query (more-specifics, resolved through the shared prefix
-    /// trie). Results are rebuilt updates in (time, vp, prefix, lane order).
+    /// trie). Results are rebuilt updates in (time, vp, prefix, lane order);
+    /// only the ones returned are rebuilt. A VP without a prefix reads that
+    /// lane's contiguous index range; everything else goes through the
+    /// shard indexes.
     pub fn updates_in_range(
         &self,
         prefix: Option<&Prefix>,
@@ -762,11 +782,55 @@ impl RouteStore {
         vp: Option<VpId>,
         from: Timestamp,
         to: Timestamp,
+        cap: usize,
     ) -> Vec<BgpUpdate> {
         let (from_ms, to_ms) = (from.as_millis(), to.as_millis());
         if from_ms > to_ms {
             return Vec::new();
         }
+        let mut keyed = match (prefix, vp) {
+            (None, Some(v)) => {
+                let Some(lane) = self.lanes.get(&v) else {
+                    return Vec::new();
+                };
+                // effective times ascend, so the range is one index span
+                let (lo, hi) = (
+                    lane.times.partition_point(|&t| t < from_ms),
+                    lane.count_until(to_ms),
+                );
+                (lo..hi)
+                    .map(|i| {
+                        let p = self.interner.prefixes.get(lane.recs[i].prefix);
+                        (lane.raw_times[i], v, p, i as u32)
+                    })
+                    .collect()
+            }
+            _ => self.shard_keys(prefix, join, vp, from_ms, to_ms),
+        };
+        // Total sort key (time, vp, prefix, lane idx): within a tie group
+        // the lane index ascends exactly like the reference store's stable
+        // sort over shard-ordered refs, so output order is identical.
+        if keyed.len() > cap {
+            keyed.select_nth_unstable(cap);
+            keyed.truncate(cap);
+        }
+        keyed.sort_unstable();
+        keyed
+            .into_iter()
+            .map(|(_, v, _, idx)| self.rebuild(v, &self.lanes[&v], idx as usize))
+            .collect()
+    }
+
+    /// Sort keys `(raw time, vp, prefix, lane idx)` of the updates in
+    /// `[from_ms, to_ms]` the shard indexes hold for the prefix filter.
+    fn shard_keys(
+        &self,
+        prefix: Option<&Prefix>,
+        join: JoinMode,
+        vp: Option<VpId>,
+        from_ms: u64,
+        to_ms: u64,
+    ) -> Vec<(u64, VpId, Prefix, u32)> {
         // Resolve the prefix filter to interned ids once, up front.
         let pids: Option<Vec<u32>> = prefix.map(|p| match join {
             JoinMode::Exact => self
@@ -803,11 +867,7 @@ impl RouteStore {
                 }
             }
         }
-        // Total sort key (time, vp, prefix, lane idx): within a tie group
-        // the lane index ascends exactly like the reference store's stable
-        // sort over shard-ordered refs, so output order is identical.
-        let mut keyed: Vec<(u64, VpId, Prefix, u32)> = refs
-            .into_iter()
+        refs.into_iter()
             .filter(|r| vp.is_none_or(|want| r.vp == want))
             .filter_map(|r| {
                 let lane = self.lanes.get(&r.vp)?;
@@ -818,11 +878,6 @@ impl RouteStore {
                     (raw, r.vp, p, r.idx)
                 })
             })
-            .collect();
-        keyed.sort_unstable();
-        keyed
-            .into_iter()
-            .map(|(_, v, _, idx)| self.rebuild(v, &self.lanes[&v], idx as usize))
             .collect()
     }
 
@@ -1307,6 +1362,7 @@ mod tests {
             None,
             Timestamp::ZERO,
             Timestamp::from_millis(u64::MAX / 2),
+            usize::MAX,
         );
         assert_eq!(all.len(), 10);
         let mid = s.updates_in_range(
@@ -1315,6 +1371,7 @@ mod tests {
             None,
             Timestamp::from_millis(3_000),
             Timestamp::from_millis(5_000),
+            usize::MAX,
         );
         assert_eq!(mid.len(), 3);
         // covered join from the /8 catches the /16 updates too: the /8s at
@@ -1325,6 +1382,7 @@ mod tests {
             None,
             Timestamp::from_millis(3_000),
             Timestamp::from_millis(5_000),
+            usize::MAX,
         );
         assert_eq!(cov.len(), 5);
         // vp filter
@@ -1334,10 +1392,40 @@ mod tests {
             Some(vp(2)),
             Timestamp::ZERO,
             Timestamp::from_millis(u64::MAX / 2),
+            usize::MAX,
         );
         assert_eq!(v2.len(), 10);
         // times are ordered
         assert!(v2.windows(2).all(|w| w[0].time <= w[1].time));
+        // a cap keeps the head of the same order, on both paths
+        for pfx in [None, Some(&p8)] {
+            let all = s.updates_in_range(
+                pfx,
+                JoinMode::Covered,
+                None,
+                Timestamp::ZERO,
+                Timestamp::from_millis(u64::MAX / 2),
+                usize::MAX,
+            );
+            let head = s.updates_in_range(
+                pfx,
+                JoinMode::Covered,
+                None,
+                Timestamp::ZERO,
+                Timestamp::from_millis(u64::MAX / 2),
+                3,
+            );
+            assert_eq!(head[..], all[..3]);
+        }
+        let head = s.updates_in_range(
+            None,
+            JoinMode::Exact,
+            Some(vp(2)),
+            Timestamp::ZERO,
+            Timestamp::from_millis(u64::MAX / 2),
+            4,
+        );
+        assert_eq!(head[..], v2[..4]);
     }
 
     #[test]
@@ -1469,6 +1557,7 @@ mod tests {
                 None,
                 Timestamp::ZERO,
                 Timestamp::from_millis(u64::MAX / 2),
+                usize::MAX,
             )
         };
         assert_eq!(range(&a), range(&b));

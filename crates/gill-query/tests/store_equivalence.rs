@@ -3,10 +3,11 @@
 //! reloaded from sealed segments must serve byte-identical HTTP responses
 //! to the store that wrote them.
 
-use bgp_types::{Asn, BgpUpdate, Prefix, Timestamp, UpdateBuilder, UpdateKind, VpId};
+use bgp_types::{Asn, BgpUpdate, Prefix, RibEntry, Timestamp, UpdateBuilder, UpdateKind, VpId};
 use gill_query::server::route;
 use gill_query::{
-    JoinMode, MatchMode, ReferenceStore, Request, Response, RouteStore, RouteView, StoreConfig,
+    JoinMode, Json, MatchMode, ReferenceStore, Request, Response, RouteStore, RouteView,
+    StoreConfig,
 };
 use parking_lot::RwLock;
 use std::path::PathBuf;
@@ -179,7 +180,14 @@ fn interned_store_is_bit_identical_to_reference() {
             &reference.lookup_at(&p, MatchMode::Exact, None, mid),
             &format!("lookup_at {p}"),
         );
-        let got = interned.updates_in_range(Some(&p), JoinMode::Exact, None, Timestamp::ZERO, mid);
+        let got = interned.updates_in_range(
+            Some(&p),
+            JoinMode::Exact,
+            None,
+            Timestamp::ZERO,
+            mid,
+            usize::MAX,
+        );
         let want: Vec<BgpUpdate> = reference
             .updates_in_range(Some(&p), JoinMode::Exact, None, Timestamp::ZERO, mid)
             .into_iter()
@@ -367,4 +375,243 @@ fn mem_capped_store_sheds_and_keeps_serving() {
     let shared = Arc::new(RwLock::new(store));
     assert_eq!(get(&shared, "/vps").status, 200);
     assert_eq!(get(&shared, "/store/stats").status, 200);
+}
+
+/// The ADD-PATH VP of [`addpath_stream`].
+const ADDPATH_VP: u32 = 65_100;
+
+/// [`synthetic_stream`] with one more VP interleaved on the same clock: an
+/// ADD-PATH peer holding up to four paths per prefix (one of them the
+/// classic untagged slot), some withdrawn again.
+fn addpath_stream(n: usize) -> Vec<BgpUpdate> {
+    let mut rng = Rng(0xbb67ae8584caa73b);
+    let vp = VpId::from_asn(Asn(ADDPATH_VP));
+    let mut out = Vec::with_capacity(n + n / 10);
+    for (i, u) in synthetic_stream(n).into_iter().enumerate() {
+        let t = u.time;
+        out.push(u);
+        if i % 10 != 9 {
+            continue;
+        }
+        let prefix = Prefix::synthetic(rng.below(30) as u32);
+        let id = rng.below(4) as u32;
+        let mut b = if rng.below(6) == 0 {
+            UpdateBuilder::withdraw(vp, prefix).at(t)
+        } else {
+            let mid = (rng.below(900) + 100) as u32;
+            UpdateBuilder::announce(vp, prefix)
+                .at(t)
+                .path([ADDPATH_VP, mid, (rng.below(50) + 1) as u32])
+                .community(100, rng.below(20) as u16)
+        };
+        if id > 0 {
+            b = b.path_id(id);
+        }
+        out.push(b.build());
+    }
+    out
+}
+
+fn path_json(path: &bgp_types::AsPath) -> Json {
+    Json::Arr(
+        path.hops()
+            .iter()
+            .map(|a| Json::U64(a.value() as u64))
+            .collect(),
+    )
+}
+
+fn comms_json<'a>(comms: impl Iterator<Item = &'a bgp_types::Community>) -> Json {
+    Json::Arr(comms.map(|c| Json::str(c.to_string())).collect())
+}
+
+fn time_json(t: Option<Timestamp>) -> Json {
+    t.map(|t| Json::U64(t.as_millis())).unwrap_or(Json::Null)
+}
+
+/// `/rib` as the server rendered it from a materialised table: the
+/// reference RIB's entries cloned and stable-sorted by prefix.
+fn rib_oracle(reference: &ReferenceStore, vp: VpId, at: Option<Timestamp>) -> Vec<u8> {
+    let rib = match at {
+        None => reference.rib_now(vp).cloned(),
+        Some(t) => reference.rib_at(vp, t),
+    };
+    let mut entries: Vec<(Prefix, RibEntry)> = rib
+        .map(|r| r.iter().map(|(p, e)| (*p, e.clone())).collect())
+        .unwrap_or_default();
+    entries.sort_by_key(|(p, _)| *p);
+    let routes = entries
+        .iter()
+        .map(|(p, e)| {
+            Json::obj([
+                ("prefix", Json::str(p.to_string())),
+                ("path", path_json(&e.path)),
+                (
+                    "origin",
+                    e.path
+                        .origin()
+                        .map(|a| Json::U64(a.value() as u64))
+                        .unwrap_or(Json::Null),
+                ),
+                ("communities", comms_json(e.communities.iter())),
+                ("time", Json::U64(e.time.as_millis())),
+            ])
+        })
+        .collect();
+    Json::obj([
+        ("vp", Json::str(vp.to_string())),
+        ("at", time_json(at)),
+        ("count", Json::U64(entries.len() as u64)),
+        ("routes", Json::Arr(routes)),
+    ])
+    .encode()
+    .unwrap()
+    .into_bytes()
+}
+
+/// `/updates?vp=` as the server rendered it from every match: the
+/// reference store's full answer, cut to `limit`.
+fn updates_oracle(
+    reference: &ReferenceStore,
+    vp: VpId,
+    from: u64,
+    to: u64,
+    limit: usize,
+) -> Vec<u8> {
+    let (from, to) = (Timestamp::from_millis(from), Timestamp::from_millis(to));
+    let all = reference.updates_in_range(None, JoinMode::Exact, Some(vp), from, to);
+    let shown = &all[..all.len().min(limit)];
+    let updates = shown
+        .iter()
+        .map(|u| {
+            let mut fields = vec![
+                ("vp", Json::str(u.vp.to_string())),
+                ("time", Json::U64(u.time.as_millis())),
+                ("prefix", Json::str(u.prefix.to_string())),
+                (
+                    "kind",
+                    Json::str(match u.kind {
+                        UpdateKind::Announce => "announce",
+                        UpdateKind::Withdraw => "withdraw",
+                    }),
+                ),
+                ("path", path_json(&u.path)),
+                ("communities", comms_json(u.communities.iter())),
+            ];
+            if let Some(id) = u.path_id {
+                fields.push(("path_id", Json::U64(id as u64)));
+            }
+            Json::obj(fields)
+        })
+        .collect();
+    Json::obj([
+        ("from", Json::U64(from.as_millis())),
+        ("to", Json::U64(to.as_millis())),
+        ("count", Json::U64(shown.len() as u64)),
+        ("truncated", Json::Bool(all.len() > limit)),
+        ("updates", Json::Arr(updates)),
+    ])
+    .encode()
+    .unwrap()
+    .into_bytes()
+}
+
+#[test]
+fn rib_and_vp_updates_match_the_materialised_rendering() {
+    let stream = addpath_stream(20_000);
+    let mut reference = ReferenceStore::new(small_cfg());
+    let mut interned = RouteStore::new(small_cfg());
+    for u in &stream {
+        reference.ingest(u.clone());
+        interned.ingest(u.clone());
+    }
+    let addpath = VpId::from_asn(Asn(ADDPATH_VP));
+    // the ADD-PATH lane holds several paths under one prefix, the
+    // untagged slot among them, so the (prefix, path id) order is tested
+    let live = reference.rib_now(addpath).unwrap();
+    let mut per_prefix: std::collections::HashMap<Prefix, Vec<Option<u32>>> = Default::default();
+    for (p, id, _) in live.iter_paths() {
+        per_prefix.entry(*p).or_default().push(id);
+    }
+    assert!(per_prefix
+        .values()
+        .any(|ids| ids.len() > 2 && ids.contains(&None)));
+
+    let latest = interned.latest_time().as_millis();
+    let first_addpath = stream.iter().find(|u| u.vp == addpath).unwrap().time;
+    let shared = Arc::new(RwLock::new(interned));
+    let mut ats: Vec<Option<Timestamp>> = vec![
+        None,
+        Some(Timestamp::ZERO),
+        Some(Timestamp::from_millis(first_addpath.as_millis() - 1)),
+    ];
+    ats.extend(probe_times(latest).into_iter().map(Some));
+    // the eight classic VPs, the ADD-PATH VP, and one never seen
+    let vps: Vec<u32> = (65_000..65_008).chain([ADDPATH_VP, 99]).collect();
+    for &asn in &vps {
+        let vp = VpId::from_asn(Asn(asn));
+        for &at in &ats {
+            let target = match at {
+                None => format!("/rib?vp={asn}"),
+                Some(t) => format!("/rib?vp={asn}&at={}", t.as_millis()),
+            };
+            let resp = get(&shared, &target);
+            assert_eq!(resp.status, 200, "{target}");
+            assert_eq!(
+                String::from_utf8(resp.body).unwrap(),
+                String::from_utf8(rib_oracle(&reference, vp, at)).unwrap(),
+                "{target}"
+            );
+        }
+    }
+
+    let mid = 1_000_000 + (latest - 1_000_000) / 2;
+    let ranges = [
+        (0, latest),
+        (0, mid),
+        (mid, latest),
+        (mid, mid + 90_000),
+        // after the last update, and an inverted range: nothing matches
+        (latest + 1, latest + 60_000),
+        (mid, mid - 1),
+    ];
+    let mut saw = (false, false);
+    for &asn in &vps {
+        let vp = VpId::from_asn(Asn(asn));
+        // both ends on one of this VP's update times: inclusive bounds
+        let times: Vec<u64> = stream
+            .iter()
+            .filter(|u| u.vp == vp)
+            .map(|u| u.time.as_millis())
+            .collect();
+        let on_updates = (times.len() > 300).then(|| (times[100], times[300]));
+        for (from, to) in ranges.into_iter().chain(on_updates) {
+            let n = reference
+                .updates_in_range(
+                    None,
+                    JoinMode::Exact,
+                    Some(vp),
+                    Timestamp::from_millis(from),
+                    Timestamp::from_millis(to),
+                )
+                .len();
+            if from > latest || from > to {
+                assert_eq!(n, 0, "{asn} {from}..{to} must be empty");
+            }
+            // exactly `limit` matches, and `limit + 1` (truncated)
+            for limit in [0, 1, 200, n.saturating_sub(1), n, n + 1] {
+                saw.0 |= n > 0 && limit == n;
+                saw.1 |= n > 0 && n == limit + 1;
+                let target = format!("/updates?vp={asn}&from={from}&to={to}&limit={limit}");
+                let resp = get(&shared, &target);
+                assert_eq!(resp.status, 200, "{target}");
+                assert_eq!(
+                    String::from_utf8(resp.body).unwrap(),
+                    String::from_utf8(updates_oracle(&reference, vp, from, to, limit)).unwrap(),
+                    "{target}"
+                );
+            }
+        }
+    }
+    assert_eq!(saw, (true, true));
 }

@@ -261,6 +261,16 @@ impl<T: Transport, S: ReadinessSource> EventLoop<T, S> {
         Ok(())
     }
 
+    /// Removes an fd added with [`register_external`] from the readiness
+    /// source (before the caller closes it).
+    ///
+    /// [`register_external`]: EventLoop::register_external
+    pub fn deregister_external(&mut self, fd: RawFd) -> io::Result<()> {
+        self.source.deregister_fd(fd)?;
+        self.stats.registered.fetch_sub(1, Ordering::Relaxed);
+        Ok(())
+    }
+
     /// One loop turn: fire due timers, wait for readiness (bounded by
     /// `max_wait_ms` and the earliest timer deadline), fire timers that
     /// came due during the wait, then drive every ready session.

@@ -475,8 +475,14 @@ fn worker_loop(
                     if !draining {
                         draining = true;
                         drain_deadline = Instant::now() + Duration::from_secs(2);
-                        // listeners close with the acceptor
-                        acceptor = None;
+                        // listeners leave the reactor, then close with
+                        // the acceptor
+                        if let Some(acc) = acceptor.take() {
+                            let bmp = acc.bmp.iter().map(|(l, _, _)| l);
+                            for l in acc.bgp.iter().map(|(l, _)| l).chain(bmp) {
+                                let _ = el.deregister_external(l.as_raw_fd());
+                            }
+                        }
                         el.graceful_close_all();
                     }
                 }

@@ -481,6 +481,11 @@ fn bmp_routers_feed_the_same_pipeline() {
     // the shared pipeline counted the same updates as the BMP ledger
     assert_eq!(pool.stats().received.load(Ordering::Relaxed), updates);
     pool.stop();
+    assert_eq!(
+        pool.totals().registered,
+        0,
+        "the BMP listener left the reactor"
+    );
 }
 
 #[test]
@@ -515,6 +520,11 @@ fn stop_winds_down_open_sessions_with_a_bounded_deadline() {
     );
     assert_eq!(pool.totals().sessions, 0, "sessions drained");
     assert_eq!(pool.active_sessions(), 0);
+    assert_eq!(
+        pool.totals().registered,
+        0,
+        "listener and session fds left the reactor"
+    );
 
     // each held peer got the parting NOTIFICATION Cease (graceful close)
     for ms in &mut held {

@@ -15,7 +15,8 @@
 //! ring and fanned out to `curl -N` subscribers on `/stream/updates`
 //! (RIS-Live-style JSON frames), with `/stream/stats` reporting broker
 //! counters. The looking-glass endpoints (`/vps`, `/routes`, …) on the
-//! same socket answer from a store fed live by the collection drain.
+//! same socket answer from a store fed live by the collection drain, and
+//! `/filters` publishes the filter epoch the sessions judge against.
 //!
 //! With `--bmp-addr HOST:PORT` (or a full `--bmp-config FILE`, see
 //! `gill::bmp::BmpConfig`) the collector also accepts BMP (RFC 7854)
@@ -128,22 +129,13 @@ fn run() -> Result<(), String> {
                 max_subscribers: args.num("max-subscribers", broker_defaults.max_subscribers)?,
             });
             let store = Arc::new(parking_lot::RwLock::new(RouteStore::default()));
-            let server = serve_streaming(
-                &addr,
-                ServerConfig::default(),
-                store.clone(),
-                None,
-                broker.clone(),
-            )
-            .map_err(|e| e.to_string())?;
-            eprintln!("streaming on http://{}/stream/updates", server.local_addr());
-            Some((broker, server, store))
+            Some((addr, broker, store))
         }
         None => None,
     };
     let sink = stream
         .as_ref()
-        .map(|(b, _, _)| Arc::new(b.publisher()) as Arc<dyn gill::collector::UpdateSink>);
+        .map(|(_, b, _)| Arc::new(b.publisher()) as Arc<dyn gill::collector::UpdateSink>);
 
     let daemon_cfg = DaemonConfig {
         local_asn,
@@ -163,6 +155,23 @@ fn run() -> Result<(), String> {
         sink,
     )
     .map_err(|e| e.to_string())?;
+    // the HTTP server starts after the pool so `/filters` publishes the
+    // filter handle the sessions judge against
+    let server = match &stream {
+        Some((addr, broker, store)) => {
+            let server = serve_streaming(
+                addr,
+                ServerConfig::default(),
+                store.clone(),
+                Some(runtime.pool().filter_handle().clone()),
+                broker.clone(),
+            )
+            .map_err(|e| e.to_string())?;
+            eprintln!("streaming on http://{}/stream/updates", server.local_addr());
+            Some(server)
+        }
+        None => None,
+    };
     for a in runtime.bmp_addrs() {
         eprintln!("bmp listening on {a}");
     }
@@ -238,7 +247,7 @@ fn run() -> Result<(), String> {
             .filter_epoch
             .load(std::sync::atomic::Ordering::Relaxed),
     );
-    if let Some((broker, mut server, _)) = stream {
+    if let (Some((_, broker, _)), Some(mut server)) = (stream, server) {
         broker.close();
         println!(
             "streamed {} | shed {} | peak subscribers seen {}",
