@@ -78,57 +78,8 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
     let _ = std::fs::write(dir.join(format!("{name}.csv")), out);
 }
 
-/// Streaming generator for the store-compression benchmarks
-/// (`bench_store`, criterion `store/*`): realistic churn, where each
-/// `(vp, prefix)` pair flaps among a palette of 4 stable AS paths with a
-/// fixed per-prefix origin, and ~1 in 6 updates is a withdrawal. Real BGP
-/// attribute traffic is highly redundant — the premise of §4.2's
-/// redundancy engine and of attribute interning — unlike the uniformly
-/// random paths of [`synth_query_stream`].
-pub fn for_each_churn_update(
-    n: usize,
-    n_vps: u32,
-    n_prefixes: u32,
-    span_ms: u64,
-    seed: u64,
-    mut f: impl FnMut(bgp_types::BgpUpdate),
-) {
-    use bgp_types::{Prefix, Timestamp, UpdateBuilder, VpId};
-    use rand::{rngs::SmallRng, Rng, SeedableRng};
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let step = (span_ms / n.max(1) as u64).max(1);
-    let mut t_ms = 0u64;
-    for _ in 0..n {
-        t_ms += rng.gen_range(0..step * 2);
-        let vp_i = rng.gen_range(0..n_vps);
-        let vp = VpId::from_asn(bgp_types::Asn(65_000 + vp_i));
-        let pfx_i = rng.gen_range(0..n_prefixes);
-        let prefix = Prefix::synthetic(pfx_i);
-        let u = if rng.gen_range(0..6u32) == 0 {
-            UpdateBuilder::withdraw(vp, prefix)
-                .at(Timestamp::from_millis(t_ms))
-                .build()
-        } else {
-            // One of 4 stable paths for this (vp, prefix), derived by a
-            // splitmix-style hash so the palette is deterministic.
-            let k = rng.gen_range(0..4u64);
-            let mix =
-                ((vp_i as u64) << 40 | (pfx_i as u64) << 8 | k).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let transit = 1_000 + ((mix >> 16) % 5_000) as u32;
-            let origin = 10_000 + pfx_i;
-            UpdateBuilder::announce(vp, prefix)
-                .at(Timestamp::from_millis(t_ms))
-                .path([vp.asn.value(), transit, transit + 1, origin])
-                .community((1_000 + vp_i) as u16, k as u16)
-                .build()
-        };
-        f(u);
-    }
-}
-
 /// Synthesizes a time-sorted, burst-structured update stream for the
-/// redundancy-engine benchmarks (`benches/micro.rs` and the
-/// `bench_redundancy` binary).
+/// redundancy-engine benchmark (the `bench_redundancy` binary).
 ///
 /// Each burst models a routing event on one prefix observed by several VPs
 /// within the 100 s redundancy slack of §4.2. Roughly a quarter of each
@@ -173,60 +124,6 @@ pub fn synth_redundancy_stream(n: usize, seed: u64) -> Vec<bgp_types::BgpUpdate>
     }
     updates.sort_by_key(|u| u.time);
     updates
-}
-
-/// Synthesizes the update stream for the query-store benchmarks
-/// (`bench_query` and the criterion `query/*` group): `n_vps` vantage
-/// points churning `n_prefixes` prefixes over `span_ms` of stream time, so
-/// the store crosses many snapshot windows and `rib_at` has a deep history
-/// to bound.
-pub fn synth_query_stream(
-    n: usize,
-    n_vps: u32,
-    n_prefixes: u32,
-    span_ms: u64,
-    seed: u64,
-) -> Vec<bgp_types::BgpUpdate> {
-    let mut updates = Vec::with_capacity(n);
-    for_each_synth_update(n, n_vps, n_prefixes, span_ms, seed, |u| updates.push(u));
-    updates
-}
-
-/// Streaming form of [`synth_query_stream`]: generates the identical update
-/// sequence but hands each update to `f` instead of materializing the whole
-/// stream. The store benchmarks use this so a multi-million-update run
-/// measures the *store's* resident memory, not the input vector's.
-pub fn for_each_synth_update(
-    n: usize,
-    n_vps: u32,
-    n_prefixes: u32,
-    span_ms: u64,
-    seed: u64,
-    mut f: impl FnMut(bgp_types::BgpUpdate),
-) {
-    use bgp_types::{Prefix, Timestamp, UpdateBuilder, VpId};
-    use rand::{rngs::SmallRng, Rng, SeedableRng};
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let step = (span_ms / n.max(1) as u64).max(1);
-    let mut t_ms = 0u64;
-    for _ in 0..n {
-        t_ms += rng.gen_range(0..step * 2);
-        let vp = VpId::from_asn(bgp_types::Asn(65_000 + rng.gen_range(0..n_vps)));
-        let prefix = Prefix::synthetic(rng.gen_range(0..n_prefixes));
-        let u = if rng.gen_range(0..5u32) == 0 {
-            UpdateBuilder::withdraw(vp, prefix)
-                .at(Timestamp::from_millis(t_ms))
-                .build()
-        } else {
-            let mid = rng.gen_range(100u32..1_000);
-            UpdateBuilder::announce(vp, prefix)
-                .at(Timestamp::from_millis(t_ms))
-                .path([vp.asn.value(), mid, mid + 1, rng.gen_range(1..50u32)])
-                .community((vp.asn.value() % 1_000) as u16, rng.gen_range(0..200u16))
-                .build()
-        };
-        f(u);
-    }
 }
 
 #[cfg(test)]

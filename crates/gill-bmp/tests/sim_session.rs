@@ -4,14 +4,14 @@
 //! random fault mixes — with bit-identical replays and exact pipeline
 //! accounting through a real `SessionCtx`.
 
-use bgp_types::{AsPath, Asn, Prefix, Timestamp, UpdateBuilder, VpId};
+use bgp_types::{AsPath, Asn, BgpUpdate, Prefix, Timestamp, UpdateBuilder, VpId};
 use bgp_wire::{OpenMessage, UpdateMessage};
 use crossbeam::channel::{bounded, Receiver};
 use gill_bmp::codec::{
     info_type, BmpMessage, InfoTlv, PeerDownReason, PeerHeader, PeerUpMessage, StatCounter,
 };
 use gill_bmp::fsm::{BmpCloseReason, BmpEvent, BmpFsm, BmpLedger, BmpSessionConfig};
-use gill_collector::daemon::{DaemonStats, SessionCtx};
+use gill_collector::daemon::{DaemonStats, SessionCtx, UpdateSink};
 use gill_collector::storage::StoredUpdate;
 use gill_collector::transport::{
     sim_pair, Clock, FaultSchedule, SimTransport, Transport, VirtualClock,
@@ -19,7 +19,7 @@ use gill_collector::transport::{
 use gill_core::{FilterGranularity, FilterHandle, FilterSet};
 use std::io;
 use std::net::Ipv4Addr;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -328,4 +328,114 @@ fn random_fault_schedules_replay_bit_identically() {
         assert_eq!(a.stored.len(), a.retained, "seed {seed}");
         assert!(a.reason.is_some(), "seed {seed}: session must terminate");
     }
+}
+
+/// A live-stream sink that publishes its first `cap` offers and sheds the
+/// rest, like a broker whose ring is full.
+struct CappedSink {
+    cap: usize,
+    published: AtomicUsize,
+}
+
+impl UpdateSink for CappedSink {
+    fn offer(&self, _update: &BgpUpdate) -> bool {
+        self.published.fetch_add(1, Ordering::Relaxed) < self.cap
+    }
+
+    fn subscribers(&self) -> usize {
+        1
+    }
+}
+
+/// Line-rate overload through a real `SessionCtx`: the bounded storage
+/// queue (never drained during the run) and the stream sink both shed,
+/// trained filters drop a known share, and every update still lands in
+/// exactly one counter — `received == retained + filtered + lost`, the
+/// queue holds exactly `retained`, and the sink saw exactly the
+/// filter-accepted stream (`published + shed == retained + lost`).
+#[test]
+fn bounded_queue_sheds_and_accounting_stays_exact() {
+    const ROUTES: u32 = 40; // per peer
+    const QUEUE_CAP: usize = 16;
+    const SINK_CAP: usize = 50;
+    let peers = [
+        (65010, Ipv4Addr::new(10, 0, 0, 1)),
+        (65020, Ipv4Addr::new(10, 0, 0, 2)),
+    ];
+    let mut frames = vec![initiation()];
+    frames.extend(peers.iter().map(|&(asn, addr)| peer_up(asn, addr)));
+    let mut routes = Vec::new();
+    for p in 0..ROUTES {
+        for &(asn, addr) in &peers {
+            frames.push(route(asn, addr, p, 1_000 + p as u64));
+            routes.push(
+                UpdateBuilder::announce(VpId::new(Asn(asn), 0), Prefix::synthetic(p))
+                    .path([asn, 174, 3356])
+                    .build(),
+            );
+        }
+    }
+    frames.push(BmpMessage::Termination { info: vec![] });
+    // drop rules on every 4th route: 20 of the 80
+    let train = FilterSet::generate([], routes.iter().step_by(4), FilterGranularity::VpPrefix);
+
+    let run = || {
+        let clock = VirtualClock::new();
+        let (mut client, server) = sim_pair(&clock, FaultSchedule::none(), FaultSchedule::none());
+        let _ = client.write_all(&encode_script(&frames));
+        let filters = FilterHandle::empty();
+        filters.publish(filters.compile_next(&train));
+        let (tx, rx) = bounded(QUEUE_CAP);
+        let sink = Arc::new(CappedSink {
+            cap: SINK_CAP,
+            published: AtomicUsize::new(0),
+        });
+        let ctx = SessionCtx::new(filters.view(), tx, Arc::new(DaemonStats::default()))
+            .with_sink(sink.clone());
+        let out = drive(
+            server,
+            &clock,
+            BmpSessionConfig::default(),
+            &ctx,
+            &rx,
+            60_000,
+        );
+        let load = |c: &AtomicUsize| c.load(Ordering::Relaxed);
+        let counts = (
+            load(&ctx.stats.lost),
+            load(&ctx.stats.stream_published),
+            load(&ctx.stats.stream_shed),
+        );
+        (out, counts)
+    };
+
+    let (out, (lost, published, stream_shed)) = run();
+    assert_eq!(out.reason, Some(BmpCloseReason::Terminated));
+    assert_eq!(out.ledger.route_monitoring, 2 * ROUTES as u64);
+    assert_eq!(out.ledger.unknown_peer, 0);
+    assert_eq!(out.received, routes.len());
+    assert_eq!(
+        out.filtered,
+        routes.len() / 4,
+        "each drop rule matched once"
+    );
+    assert_eq!(
+        out.received,
+        out.retained + out.filtered + lost,
+        "ingest accounting"
+    );
+    assert_eq!(out.retained, QUEUE_CAP, "the queue bounds what is retained");
+    assert!(lost > 0, "the bounded queue never shed");
+    assert_eq!(out.stored.len(), out.retained, "queue drained to the store");
+    assert_eq!(
+        published + stream_shed,
+        out.retained + lost,
+        "sink sees exactly the filter-accepted stream"
+    );
+    assert_eq!((published, stream_shed), (SINK_CAP, 60 - SINK_CAP));
+    assert_eq!(
+        run(),
+        (out, (lost, published, stream_shed)),
+        "overload must replay identically"
+    );
 }

@@ -456,9 +456,6 @@ pub struct SessionCtx {
     /// Live-stream tee, fed *after* filter-accept (subscribers see exactly
     /// what the archive retains, minus queue overflow losses).
     pub sink: Option<Arc<dyn UpdateSink>>,
-    /// The owning pool's stop signal, set once the pipeline winds down
-    /// ([`DaemonPool::request_stop`]).
-    pub shutdown: Arc<AtomicBool>,
 }
 
 impl SessionCtx {
@@ -478,7 +475,6 @@ impl SessionCtx {
             mirror: None,
             mirror_on: Arc::new(AtomicBool::new(false)),
             sink: None,
-            shutdown: Arc::new(AtomicBool::new(false)),
         }
     }
 
@@ -678,7 +674,6 @@ impl DaemonPool {
             mirror: Some(self.mirror_tx.clone()),
             mirror_on: self.mirror_on.clone(),
             sink: self.sink.clone(),
-            shutdown: self.stop.clone(),
         }
     }
 

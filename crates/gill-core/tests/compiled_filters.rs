@@ -31,8 +31,8 @@ const GRANULARITIES: [FilterGranularity; 3] = [
 ];
 
 proptest! {
-    // The tentpole equivalence: compiled verdicts == reference verdicts
-    // on random rule/anchor populations, probed with a mix of exact
+    // The core equivalence: compiled and view verdicts == reference
+    // verdicts on random rule/anchor populations, probed with a mix of exact
     // training replays and fresh updates, at all three granularities.
     #[test]
     fn compiled_accepts_equals_reference(
@@ -46,8 +46,12 @@ proptest! {
         let fs = FilterSet::generate(anchors.iter().map(|&a| vp(a)), train.iter(), g);
         let c = CompiledFilters::compile(&fs, 1);
         prop_assert_eq!(c.num_rules(), fs.num_rules());
+        // the session hot path (epoch load + compiled probe) agrees too
+        let handle = FilterHandle::new(&fs);
+        let view = handle.view();
         for u in train.iter().chain(probes.into_iter().map(upd).collect::<Vec<_>>().iter()) {
             prop_assert_eq!(c.accepts(u), fs.accepts(u), "granularity {:?}, update {}", g, u);
+            prop_assert_eq!(view.judge(u).0, fs.accepts(u), "view, granularity {:?}, update {}", g, u);
         }
     }
 

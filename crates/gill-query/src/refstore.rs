@@ -3,11 +3,12 @@
 //!
 //! [`ReferenceStore`] stores every update as an owned [`BgpUpdate`], clones
 //! full [`Rib`]s for snapshots, and indexes each time shard with its own
-//! [`PrefixTrie`]. It is simple to audit but memory-hungry — exactly the
-//! baseline the arena-interned [`RouteStore`](crate::RouteStore) is measured
-//! against. The equivalence tests in `tests/store_equivalence.rs` assert
-//! that both stores answer every query identically on the same stream, and
-//! `bench_store` reports the updates-per-GB ratio between them.
+//! [`PrefixTrie`]. It is simple to audit but memory-hungry — the baseline
+//! the arena-interned [`RouteStore`](crate::RouteStore) was built to beat.
+//! The equivalence tests in `tests/store_equivalence.rs` assert that both
+//! stores answer every query identically on the same stream; the interned
+//! store's footprint is measured by the `ingest.table` workload of
+//! `BENCHMARK.json` (`store_dedup_ratio`, `peak_rss_mb`).
 
 use crate::store::{RouteView, StoreConfig, StoreStats};
 use crate::{JoinMode, MatchMode};

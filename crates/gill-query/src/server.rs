@@ -589,7 +589,11 @@ mod tests {
         let store = filled_store();
         let mut srv = serve("127.0.0.1:0", ServerConfig::default(), store).unwrap();
         let mut sock = std::net::TcpStream::connect(srv.local_addr()).unwrap();
-        write!(sock, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        write!(
+            sock,
+            "GET /health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        )
+        .unwrap();
         let mut buf = String::new();
         sock.read_to_string(&mut buf).unwrap();
         assert!(buf.starts_with("HTTP/1.1 200"));

@@ -134,6 +134,21 @@ fn bgp_sessions_flow_through_the_evented_pipeline() {
         assert_eq!(storage.updates.len(), total);
         let vps: BTreeSet<VpId> = storage.updates.iter().map(|u| u.vp).collect();
         assert_eq!(vps.len(), 8);
+        // the stored multiset is exactly what was sent, whichever worker
+        // delivered what first
+        let mut got: Vec<(VpId, Prefix)> =
+            storage.updates.iter().map(|u| (u.vp, u.prefix)).collect();
+        let mut sent: Vec<(VpId, Prefix)> = (0..8)
+            .flat_map(|k| {
+                let vp = VpId::from_asn(Asn(65001 + k));
+                prefixes(k)
+                    .into_iter()
+                    .map(move |p| (vp, Prefix::synthetic(p)))
+            })
+            .collect();
+        got.sort_unstable();
+        sent.sort_unstable();
+        assert_eq!(got, sent);
     }
 }
 
@@ -412,13 +427,14 @@ fn accept_cap_rejects_with_notification_cease() {
 }
 
 /// Builds one BMP session script (Initiation, Peer Ups, Route
-/// Monitoring, Termination) and the expected update count.
-fn bmp_script() -> (Vec<Vec<u8>>, usize) {
+/// Monitoring, Termination) and the expected update count. A dual-stack
+/// world makes odd prefixes IPv6 (MP_REACH/MP_UNREACH in the frames).
+fn bmp_script(dual_stack: bool) -> (Vec<Vec<u8>>, usize) {
     let world = World {
         n_vps: 4,
         n_prefixes: 64,
         seed: 0xeb1,
-        dual_stack: false,
+        dual_stack,
     };
     let background = BackgroundConfig::default();
     let duration_ms = background.duration_for(200);
@@ -447,45 +463,58 @@ fn bmp_script() -> (Vec<Vec<u8>>, usize) {
 
 #[test]
 fn bmp_routers_feed_the_same_pipeline() {
-    let (frames, updates) = bmp_script();
-    assert!(updates > 0, "scenario produced no monitored updates");
-    let mut pool = EventedPool::start(
-        daemon_cfg(),
-        RuntimeConfig {
-            workers: 2,
-            bgp_addr: None,
-            bmp: Some(gill_bmp::config::BmpConfig::single("127.0.0.1:0")),
-        },
-        None,
-    )
-    .unwrap();
-    let addr = pool.bmp_addrs()[0];
+    // the same day twice: v4-only, then dual-stack
+    let [(v4_updates, v4_v6), (mp_updates, mp_v6)] = [false, true].map(|dual_stack| {
+        let (frames, updates) = bmp_script(dual_stack);
+        assert!(updates > 0, "scenario produced no monitored updates");
+        let mut pool = EventedPool::start(
+            daemon_cfg(),
+            RuntimeConfig {
+                workers: 2,
+                bgp_addr: None,
+                bmp: Some(gill_bmp::config::BmpConfig::single("127.0.0.1:0")),
+            },
+            None,
+        )
+        .unwrap();
+        let addr = pool.bmp_addrs()[0];
 
-    let mut router = TcpStream::connect(addr).unwrap();
-    for f in &frames {
-        router.write_all(f).unwrap();
-    }
+        let mut router = TcpStream::connect(addr).unwrap();
+        for f in &frames {
+            router.write_all(f).unwrap();
+        }
 
-    assert!(
-        wait_until(|| pool.bmp_stats().updates.load(Ordering::Relaxed) >= updates),
-        "bmp updates: {} of {updates}",
-        pool.bmp_stats().updates.load(Ordering::Relaxed)
-    );
-    assert!(wait_until(|| {
-        pool.bmp_stats().sessions_closed.load(Ordering::Relaxed) == 1
-    }));
-    assert_eq!(pool.bmp_stats().sessions_opened.load(Ordering::Relaxed), 1);
-    assert_eq!(pool.bmp_stats().peers_up.load(Ordering::Relaxed), 4);
-    assert_eq!(pool.bmp_stats().terminations.load(Ordering::Relaxed), 1);
-    assert_eq!(pool.bmp_stats().unknown_peer.load(Ordering::Relaxed), 0);
-    // the shared pipeline counted the same updates as the BMP ledger
-    assert_eq!(pool.stats().received.load(Ordering::Relaxed), updates);
-    pool.stop();
-    assert_eq!(
-        pool.totals().registered,
-        0,
-        "the BMP listener left the reactor"
-    );
+        assert!(
+            wait_until(|| pool.bmp_stats().updates.load(Ordering::Relaxed) >= updates),
+            "bmp updates: {} of {updates}",
+            pool.bmp_stats().updates.load(Ordering::Relaxed)
+        );
+        assert!(wait_until(|| {
+            pool.bmp_stats().sessions_closed.load(Ordering::Relaxed) == 1
+        }));
+        assert_eq!(pool.bmp_stats().sessions_opened.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.bmp_stats().peers_up.load(Ordering::Relaxed), 4);
+        assert_eq!(pool.bmp_stats().terminations.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.bmp_stats().unknown_peer.load(Ordering::Relaxed), 0);
+        // the shared pipeline counted the same updates as the BMP ledger
+        assert_eq!(pool.stats().received.load(Ordering::Relaxed), updates);
+        let storage = stop_and_drain(&mut pool);
+        assert_eq!(
+            pool.totals().registered,
+            0,
+            "the BMP listener left the reactor"
+        );
+        assert_eq!(storage.updates.len(), updates, "queue drained to storage");
+        let v6 = storage
+            .updates
+            .iter()
+            .filter(|u| u.prefix.is_ipv6())
+            .count();
+        (updates, v6)
+    });
+    assert_eq!(v4_v6, 0, "v4-only day leaked v6 routes");
+    assert!(mp_v6 > 0, "dual-stack day carried no v6 routes");
+    assert_eq!(v4_updates, mp_updates, "days must be the same size");
 }
 
 #[test]
