@@ -170,6 +170,7 @@ fn status_text(code: u16) -> &'static str {
         405 => "Method Not Allowed",
         408 => "Request Timeout",
         413 => "Payload Too Large",
+        500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Error",
     }
@@ -666,6 +667,13 @@ mod tests {
         assert_eq!(code, 404);
         srv.stop();
         assert!(srv.stats().served.load(Ordering::Relaxed) >= 2);
+    }
+
+    #[test]
+    fn status_lines_name_their_codes() {
+        assert_eq!(status_text(500), "Internal Server Error");
+        assert_eq!(status_text(400), "Bad Request");
+        assert_eq!(status_text(599), "Error");
     }
 
     #[test]

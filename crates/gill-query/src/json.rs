@@ -1,4 +1,4 @@
-//! A small hand-rolled JSON encoder and parser.
+//! A small hand-rolled JSON encoder, writer and parser.
 //!
 //! The serving layer returns JSON to looking-glass clients; no JSON crate
 //! exists in the offline dependency set, and the value shapes we emit are
@@ -6,6 +6,18 @@
 //! encoder is cheaper than a shim. Encoding is strict RFC 8259: strings are
 //! escaped, non-finite floats are rejected (JSON has no NaN/Infinity), and
 //! integers are emitted verbatim up to the full `u64`/`i64` range.
+//!
+//! There are two ways to produce a document, and they share one escaping
+//! routine and one integer routine, so they cannot disagree on a byte:
+//!
+//! * [`Json`] is a tree, built and then encoded with [`Json::encode`]. Cold
+//!   endpoints, error bodies and stream frames use it.
+//! * [`JsonWriter`] appends straight into one `String`, with no tree. The
+//!   hot read endpoints (`/routes`, `/rib`, `/updates`, `/origin`) render
+//!   through it from borrowed store data. [`JsonWriter::finish`] seals the
+//!   text into an [`Encoded`], and [`Json::Raw`] carries it wherever a
+//!   [`Json`] is expected: `encode` copies it verbatim and
+//!   [`Json::into_body`] hands the `String` over without a copy.
 //!
 //! [`Json::parse`] is the matching strict decoder (the stream layer uses it
 //! to verify frames round-trip): no trailing content, no unescaped control
@@ -33,6 +45,22 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object; key order is preserved as given (deterministic output).
     Obj(Vec<(String, Json)>),
+    /// An already-encoded document from [`JsonWriter::finish`], written
+    /// verbatim.
+    Raw(Encoded),
+}
+
+/// A JSON text that [`JsonWriter`] produced. The field is private, so
+/// [`JsonWriter::finish`] is the only way to make one: the bytes went
+/// through the writer's escaping and number formatting.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Encoded(String);
+
+impl Encoded {
+    /// The encoded text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
 }
 
 /// Error returned when a value cannot be represented in JSON.
@@ -65,6 +93,15 @@ impl Json {
         Ok(out)
     }
 
+    /// The value as a response body: a [`Json::Raw`] hands its `String`
+    /// over as is, anything else is encoded.
+    pub fn into_body(self) -> Result<String, JsonError> {
+        match self {
+            Json::Raw(Encoded(text)) => Ok(text),
+            other => other.encode(),
+        }
+    }
+
     /// Parses a JSON document (strict RFC 8259; the whole input must be one
     /// value plus optional surrounding whitespace). Non-negative integers
     /// parse as [`Json::U64`], negative ones as [`Json::I64`], and anything
@@ -87,11 +124,13 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(n) => {
-                let mut buf = [0u8; 20];
-                out.push_str(fmt_u64(*n, &mut buf));
+            Json::U64(n) => fmt_u64(*n, out),
+            Json::I64(n) => {
+                if *n < 0 {
+                    out.push('-');
+                }
+                fmt_u64(n.unsigned_abs(), out);
             }
-            Json::I64(n) => out.push_str(&n.to_string()),
             Json::F64(x) => {
                 if !x.is_finite() {
                     return Err(JsonError(format!("non-finite float {x}")));
@@ -128,12 +167,16 @@ impl Json {
                 }
                 out.push('}');
             }
+            Json::Raw(Encoded(text)) => out.push_str(text),
         }
         Ok(())
     }
 }
 
-fn fmt_u64(n: u64, buf: &mut [u8; 20]) -> &str {
+/// Appends the decimal digits of `n` (the one integer routine behind
+/// [`Json::encode`] and [`JsonWriter`]).
+pub(crate) fn fmt_u64(n: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
     let mut i = buf.len();
     let mut n = n;
     loop {
@@ -144,7 +187,154 @@ fn fmt_u64(n: u64, buf: &mut [u8; 20]) -> &str {
             break;
         }
     }
-    std::str::from_utf8(&buf[i..]).expect("digits are ascii")
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("digits are ascii"));
+}
+
+/// Streams one JSON document into a single `String`, with no [`Json`]
+/// tree in between. Separators are tracked for the caller: a value or key
+/// written after a sibling gets its comma, and a key gets its colon.
+///
+/// ```
+/// use gill_query::json::{Json, JsonWriter};
+/// let mut w = JsonWriter::new();
+/// w.begin_obj();
+/// w.key("vp");
+/// w.str("AS65001");
+/// w.key("hops");
+/// w.begin_arr();
+/// w.u64(65001);
+/// w.u64(2);
+/// w.end_arr();
+/// w.end_obj();
+/// let text = Json::Raw(w.finish()).encode().unwrap();
+/// assert_eq!(text, r#"{"vp":"AS65001","hops":[65001,2]}"#);
+/// ```
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// The next value or key follows a sibling and needs a comma.
+    sep: bool,
+    /// Open objects and arrays.
+    depth: usize,
+}
+
+impl JsonWriter {
+    /// An empty writer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty writer whose buffer holds `bytes` before it grows.
+    pub fn with_capacity(bytes: usize) -> Self {
+        JsonWriter {
+            out: String::with_capacity(bytes),
+            ..Self::default()
+        }
+    }
+
+    fn value_start(&mut self) {
+        if self.sep {
+            self.out.push(',');
+        }
+        self.sep = true;
+    }
+
+    fn open(&mut self, c: char) {
+        self.value_start();
+        self.out.push(c);
+        self.sep = false;
+        self.depth += 1;
+    }
+
+    fn close(&mut self, c: char) {
+        self.out.push(c);
+        self.sep = true;
+        self.depth -= 1;
+    }
+
+    /// Opens an object.
+    pub fn begin_obj(&mut self) {
+        self.open('{');
+    }
+
+    /// Closes the innermost object.
+    pub fn end_obj(&mut self) {
+        self.close('}');
+    }
+
+    /// Opens an array.
+    pub fn begin_arr(&mut self) {
+        self.open('[');
+    }
+
+    /// Closes the innermost array.
+    pub fn end_arr(&mut self) {
+        self.close(']');
+    }
+
+    /// Writes an object key; the next call writes its value.
+    pub fn key(&mut self, k: &str) {
+        self.value_start();
+        encode_str(k, &mut self.out);
+        self.out.push(':');
+        self.sep = false;
+    }
+
+    /// Writes a string value.
+    pub fn str(&mut self, s: &str) {
+        self.value_start();
+        encode_str(s, &mut self.out);
+    }
+
+    /// Writes a string value that `f` formats straight into the buffer
+    /// (no intermediate `String`). `f` must only append; whatever it
+    /// appends is escaped exactly like [`JsonWriter::str`] would escape it.
+    pub fn str_with(&mut self, f: impl FnOnce(&mut String)) {
+        self.value_start();
+        self.out.push('"');
+        let start = self.out.len();
+        f(&mut self.out);
+        if self.out.as_bytes()[start..]
+            .iter()
+            .any(|&b| needs_escape(b))
+        {
+            let raw = self.out.split_off(start);
+            escape_into(&raw, &mut self.out);
+        }
+        self.out.push('"');
+    }
+
+    /// Writes a value's `Display` form as a string value.
+    pub fn display(&mut self, v: impl fmt::Display) {
+        self.str_with(|out| {
+            use fmt::Write as _;
+            write!(out, "{v}").expect("writing to a String cannot fail");
+        });
+    }
+
+    /// Writes an unsigned integer.
+    pub fn u64(&mut self, n: u64) {
+        self.value_start();
+        fmt_u64(n, &mut self.out);
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.value_start();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.value_start();
+        self.out.push_str("null");
+    }
+
+    /// The finished document. Every object and array must be closed.
+    pub fn finish(self) -> Encoded {
+        debug_assert_eq!(self.depth, 0, "unclosed object or array");
+        Encoded(self.out)
+    }
 }
 
 /// Nesting depth cap for the parser (far above any frame we emit).
@@ -414,24 +604,47 @@ impl Parser<'_> {
     }
 }
 
+/// Whether `b` cannot appear raw inside a JSON string.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// Appends `s` as a quoted JSON string (the one escaping routine behind
+/// [`Json::encode`] and [`JsonWriter`]).
 fn encode_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    escape_into(s, out);
+    out.push('"');
+}
+
+/// Appends `s` with every character JSON forbids raw escaped. Runs of
+/// plain bytes are copied whole; every escaped byte is ASCII, so each run
+/// ends on a character boundary.
+fn escape_into(s: &str, out: &mut String) {
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !needs_escape(b) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            _ => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(HEX[(b >> 4) as usize] as char);
+                out.push(HEX[(b & 0xf) as usize] as char);
             }
-            c => out.push(c),
         }
     }
-    out.push('"');
+    out.push_str(&s[run..]);
 }
 
 #[cfg(test)]
@@ -656,5 +869,135 @@ mod tests {
         ]);
         let text = v.encode().unwrap();
         assert_eq!(Json::parse(&text).unwrap(), v);
+    }
+
+    /// The escaping goldens of `golden_string_escaping`, as (input, body).
+    const ESCAPES: [(&str, &str); 9] = [
+        ("plain", r#""plain""#),
+        ("say \"hi\"", r#""say \"hi\"""#),
+        ("a\\b", r#""a\\b""#),
+        ("line\nbreak", r#""line\nbreak""#),
+        ("tab\there", r#""tab\there""#),
+        ("cr\rlf", r#""cr\rlf""#),
+        ("\u{08}\u{0c}", r#""\b\f""#),
+        ("\u{01}\u{1f}", r#""\u0001\u001f""#),
+        ("prefix→route", "\"prefix→route\""),
+    ];
+
+    #[test]
+    fn writer_escapes_exactly_like_the_tree() {
+        for (input, golden) in ESCAPES {
+            assert_eq!(Json::str(input).encode().unwrap(), golden, "{input:?}");
+            let mut w = JsonWriter::new();
+            w.str(input);
+            assert_eq!(w.finish().as_str(), golden, "str {input:?}");
+            let mut w = JsonWriter::new();
+            w.str_with(|out| out.push_str(input));
+            assert_eq!(w.finish().as_str(), golden, "str_with {input:?}");
+            let mut w = JsonWriter::new();
+            w.display(input);
+            assert_eq!(w.finish().as_str(), golden, "display {input:?}");
+            // keys take the same routine
+            let mut w = JsonWriter::new();
+            w.begin_obj();
+            w.key(input);
+            w.null();
+            w.end_obj();
+            assert_eq!(w.finish().as_str(), format!("{{{golden}:null}}"));
+        }
+    }
+
+    #[test]
+    fn writer_matches_the_tree_byte_for_byte() {
+        let tree = Json::obj([
+            ("vp", Json::str("vp(AS65001)")),
+            ("at", Json::Null),
+            ("n", Json::U64(u64::MAX)),
+            ("ok", Json::Bool(true)),
+            ("no", Json::Bool(false)),
+            (
+                "routes",
+                Json::Arr(vec![
+                    Json::obj([("path", Json::Arr(vec![Json::U64(1), Json::U64(0)]))]),
+                    Json::obj([("path", Json::Arr(vec![]))]),
+                    Json::Obj(vec![]),
+                ]),
+            ),
+            ("tail", Json::Arr(vec![Json::Arr(vec![]), Json::str("x")])),
+        ]);
+        let mut w = JsonWriter::with_capacity(16);
+        w.begin_obj();
+        w.key("vp");
+        w.display(format_args!("vp({})", "AS65001"));
+        w.key("at");
+        w.null();
+        w.key("n");
+        w.u64(u64::MAX);
+        w.key("ok");
+        w.bool(true);
+        w.key("no");
+        w.bool(false);
+        w.key("routes");
+        w.begin_arr();
+        w.begin_obj();
+        w.key("path");
+        w.begin_arr();
+        w.u64(1);
+        w.u64(0);
+        w.end_arr();
+        w.end_obj();
+        w.begin_obj();
+        w.key("path");
+        w.begin_arr();
+        w.end_arr();
+        w.end_obj();
+        w.begin_obj();
+        w.end_obj();
+        w.end_arr();
+        w.key("tail");
+        w.begin_arr();
+        w.begin_arr();
+        w.end_arr();
+        w.str("x");
+        w.end_arr();
+        w.end_obj();
+        assert_eq!(w.finish().as_str(), tree.encode().unwrap());
+    }
+
+    #[test]
+    fn raw_nested_in_a_tree_encodes_verbatim() {
+        let mut w = JsonWriter::new();
+        w.begin_arr();
+        w.u64(7);
+        w.str("a\"b");
+        w.end_arr();
+        let raw = Json::Raw(w.finish());
+        assert_eq!(raw.encode().unwrap(), r#"[7,"a\"b"]"#);
+        let tree = Json::obj([
+            ("before", Json::U64(1)),
+            ("raw", raw.clone()),
+            ("list", Json::Arr(vec![raw.clone(), raw])),
+        ]);
+        assert_eq!(
+            tree.encode().unwrap(),
+            r#"{"before":1,"raw":[7,"a\"b"],"list":[[7,"a\"b"],[7,"a\"b"]]}"#
+        );
+    }
+
+    #[test]
+    fn into_body_moves_a_raw_out_without_copying() {
+        let mut w = JsonWriter::new();
+        w.begin_obj();
+        w.key("k");
+        w.u64(1);
+        w.end_obj();
+        let encoded = w.finish();
+        let (ptr, text) = (encoded.as_str().as_ptr(), encoded.as_str().to_string());
+        let body = Json::Raw(encoded).into_body().unwrap();
+        assert_eq!(body, text);
+        assert_eq!(body.as_ptr(), ptr, "the writer's buffer is the body");
+        // a tree is encoded, and an encode failure stays an error
+        assert_eq!(Json::U64(3).into_body().unwrap(), "3");
+        assert!(Json::F64(f64::NAN).into_body().is_err());
     }
 }

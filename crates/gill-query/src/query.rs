@@ -4,10 +4,17 @@
 //! engine executes it against a [`RouteStore`], producing [`Json`] the
 //! server serializes. Keeping this separate from HTTP means the same query
 //! surface is testable (and usable by other frontends) without sockets.
+//!
+//! The hot answers (`/routes`, `/rib`, `/updates`, `/origin`) are written
+//! by one [`JsonWriter`] straight from the store's borrowing walks
+//! ([`RouteStore::lookup_walk`], [`RouteStore::rib_walk`],
+//! [`RouteStore::updates_walk`]): no owned route, no update and no
+//! [`Json`] tree per entry. They come back as [`Json::Raw`]. The cold
+//! answers (`/health`, `/vps`, `/store/stats`) build a tree.
 
-use crate::json::Json;
-use crate::store::{RouteStore, RouteView};
-use bgp_types::{Asn, Prefix, Timestamp, UpdateKind, VpId};
+use crate::json::{fmt_u64, Json, JsonWriter};
+use crate::store::{RouteRef, RouteStore, UpdateRef};
+use bgp_types::{AsPath, Asn, Community, Prefix, Timestamp, UpdateKind, VpId};
 
 /// How a queried prefix selects stored route-table entries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,45 +84,47 @@ pub struct QueryEngine;
 impl QueryEngine {
     /// `/routes` — looking-glass lookup.
     pub fn routes(store: &RouteStore, q: &RouteQuery) -> Json {
-        let views = match q.at {
-            None => store.lookup(&q.prefix, q.mode, q.vp),
-            Some(t) => store.lookup_at(&q.prefix, q.mode, q.vp, t),
-        };
-        Json::obj([
-            ("query", Json::str(q.prefix.to_string())),
-            (
-                "match",
-                Json::str(match q.mode {
-                    MatchMode::Exact => "exact",
-                    MatchMode::Longest => "lpm",
-                    MatchMode::MoreSpecific => "ms",
-                }),
-            ),
-            (
-                "at",
-                q.at.map(|t| Json::U64(t.as_millis())).unwrap_or(Json::Null),
-            ),
-            ("count", Json::U64(views.len() as u64)),
-            ("routes", Json::Arr(views.iter().map(route_json).collect())),
-        ])
+        let routes = store.lookup_walk(&q.prefix, q.mode, q.vp, q.at);
+        let mut w = JsonWriter::with_capacity(96 + routes.len() * ROUTE_BYTES);
+        w.begin_obj();
+        w.key("query");
+        write_prefix(&mut w, q.prefix);
+        w.key("match");
+        w.str(match q.mode {
+            MatchMode::Exact => "exact",
+            MatchMode::Longest => "lpm",
+            MatchMode::MoreSpecific => "ms",
+        });
+        w.key("at");
+        write_time(&mut w, q.at);
+        w.key("count");
+        w.u64(routes.len() as u64);
+        w.key("routes");
+        w.begin_arr();
+        for (vp, r) in &routes {
+            write_route(&mut w, Some(*vp), r);
+        }
+        w.end_arr();
+        w.end_obj();
+        Json::Raw(w.finish())
     }
 
     /// `/rib` — one VP's full table (live or at a point in time). `None`
     /// when the store holds no update from `vp`.
     pub fn rib(store: &RouteStore, vp: VpId, at: Option<Timestamp>) -> Option<Json> {
-        Some(rib_json(vp, at, &store.rib_routes(vp, at)?))
+        Some(rib_body(vp, at, &store.rib_walk(vp, at)?))
     }
 
     /// The `/rib` answer for a VP with no stored update: the shape of
     /// [`QueryEngine::rib`] with `count: 0` and no routes.
     pub fn empty_rib(vp: VpId, at: Option<Timestamp>) -> Json {
-        rib_json(vp, at, &[])
+        rib_body(vp, at, &[])
     }
 
     /// `/updates` — the time-ranged update log. Only `limit + 1` updates
-    /// are rebuilt: one past the limit is enough to tell `truncated`.
+    /// are resolved: one past the limit is enough to tell `truncated`.
     pub fn updates(store: &RouteStore, q: &UpdateQuery) -> Json {
-        let all = store.updates_in_range(
+        let all = store.updates_walk(
             q.prefix.as_ref(),
             q.join,
             q.vp,
@@ -123,41 +132,49 @@ impl QueryEngine {
             q.to,
             q.limit.saturating_add(1),
         );
-        let truncated = all.len() > q.limit;
         let shown = &all[..all.len().min(q.limit)];
-        Json::obj([
-            ("from", Json::U64(q.from.as_millis())),
-            ("to", Json::U64(q.to.as_millis())),
-            ("count", Json::U64(shown.len() as u64)),
-            ("truncated", Json::Bool(truncated)),
-            (
-                "updates",
-                Json::Arr(shown.iter().map(update_json).collect()),
-            ),
-        ])
+        let mut w = JsonWriter::with_capacity(96 + shown.len() * UPDATE_BYTES);
+        w.begin_obj();
+        w.key("from");
+        w.u64(q.from.as_millis());
+        w.key("to");
+        w.u64(q.to.as_millis());
+        w.key("count");
+        w.u64(shown.len() as u64);
+        w.key("truncated");
+        w.bool(all.len() > q.limit);
+        w.key("updates");
+        w.begin_arr();
+        for u in shown {
+            write_update(&mut w, u);
+        }
+        w.end_arr();
+        w.end_obj();
+        Json::Raw(w.finish())
     }
 
     /// `/origin` — prefixes currently originated by an AS.
     pub fn origin(store: &RouteStore, asn: Asn) -> Json {
         let prefixes = store.originated(asn);
-        Json::obj([
-            ("asn", Json::U64(asn.value() as u64)),
-            ("count", Json::U64(prefixes.len() as u64)),
-            (
-                "prefixes",
-                Json::Arr(
-                    prefixes
-                        .iter()
-                        .map(|(p, vps)| {
-                            Json::obj([
-                                ("prefix", Json::str(p.to_string())),
-                                ("vps", Json::U64(*vps as u64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        let mut w = JsonWriter::with_capacity(64 + prefixes.len() * 40);
+        w.begin_obj();
+        w.key("asn");
+        w.u64(asn.value() as u64);
+        w.key("count");
+        w.u64(prefixes.len() as u64);
+        w.key("prefixes");
+        w.begin_arr();
+        for (p, vps) in &prefixes {
+            w.begin_obj();
+            w.key("prefix");
+            write_prefix(&mut w, *p);
+            w.key("vps");
+            w.u64(*vps as u64);
+            w.end_obj();
+        }
+        w.end_arr();
+        w.end_obj();
+        Json::Raw(w.finish())
     }
 
     /// `/vps` — the vantage points feeding the store.
@@ -218,102 +235,120 @@ impl QueryEngine {
     }
 }
 
-fn route_json(v: &RouteView) -> Json {
-    let mut obj = match entry_json(v.prefix, &v.entry) {
-        Json::Obj(pairs) => pairs,
-        _ => unreachable!("entry_json returns an object"),
-    };
-    obj.insert(0, ("vp".to_string(), Json::str(v.vp.to_string())));
-    Json::Obj(obj)
-}
+/// Buffer bytes reserved per rendered route and per rendered update: a
+/// typical entry fits, so a response rarely regrows its buffer.
+const ROUTE_BYTES: usize = 128;
+const UPDATE_BYTES: usize = 160;
 
-/// Renders a `/rib` answer; `entries` come sorted by `(prefix, path id)`.
-fn rib_json(vp: VpId, at: Option<Timestamp>, entries: &[(Prefix, bgp_types::RibEntry)]) -> Json {
-    Json::obj([
-        ("vp", Json::str(vp.to_string())),
-        (
-            "at",
-            at.map(|t| Json::U64(t.as_millis())).unwrap_or(Json::Null),
-        ),
-        ("count", Json::U64(entries.len() as u64)),
-        (
-            "routes",
-            Json::Arr(entries.iter().map(|(p, e)| entry_json(*p, e)).collect()),
-        ),
-    ])
-}
-
-fn entry_json(prefix: Prefix, e: &bgp_types::RibEntry) -> Json {
-    Json::obj([
-        ("prefix", Json::str(prefix.to_string())),
-        (
-            "path",
-            Json::Arr(
-                e.path
-                    .hops()
-                    .iter()
-                    .map(|a| Json::U64(a.value() as u64))
-                    .collect(),
-            ),
-        ),
-        (
-            "origin",
-            e.path
-                .origin()
-                .map(|a| Json::U64(a.value() as u64))
-                .unwrap_or(Json::Null),
-        ),
-        (
-            "communities",
-            Json::Arr(
-                e.communities
-                    .iter()
-                    .map(|c| Json::str(c.to_string()))
-                    .collect(),
-            ),
-        ),
-        ("time", Json::U64(e.time.as_millis())),
-    ])
-}
-
-fn update_json(u: &bgp_types::BgpUpdate) -> Json {
-    let mut fields = vec![
-        ("vp", Json::str(u.vp.to_string())),
-        ("time", Json::U64(u.time.as_millis())),
-        ("prefix", Json::str(u.prefix.to_string())),
-        (
-            "kind",
-            Json::str(match u.kind {
-                UpdateKind::Announce => "announce",
-                UpdateKind::Withdraw => "withdraw",
-            }),
-        ),
-        (
-            "path",
-            Json::Arr(
-                u.path
-                    .hops()
-                    .iter()
-                    .map(|a| Json::U64(a.value() as u64))
-                    .collect(),
-            ),
-        ),
-        (
-            "communities",
-            Json::Arr(
-                u.communities
-                    .iter()
-                    .map(|c| Json::str(c.to_string()))
-                    .collect(),
-            ),
-        ),
-    ];
-    // only ADD-PATH-tagged updates carry the key; classic responses
-    // stay byte-identical (the store-persist cmp depends on that)
-    if let Some(id) = u.path_id {
-        fields.push(("path_id", Json::U64(id as u64)));
+/// Renders a `/rib` answer; `routes` come sorted by `(prefix, path id)`.
+fn rib_body(vp: VpId, at: Option<Timestamp>, routes: &[RouteRef<'_>]) -> Json {
+    let mut w = JsonWriter::with_capacity(64 + routes.len() * ROUTE_BYTES);
+    w.begin_obj();
+    w.key("vp");
+    w.display(vp);
+    w.key("at");
+    write_time(&mut w, at);
+    w.key("count");
+    w.u64(routes.len() as u64);
+    w.key("routes");
+    w.begin_arr();
+    for r in routes {
+        write_route(&mut w, None, r);
     }
-    Json::obj(fields)
+    w.end_arr();
+    w.end_obj();
+    Json::Raw(w.finish())
+}
+
+/// One route of a `/routes` (`vp` given) or `/rib` (`vp` omitted) answer.
+fn write_route(w: &mut JsonWriter, vp: Option<VpId>, r: &RouteRef<'_>) {
+    w.begin_obj();
+    if let Some(vp) = vp {
+        w.key("vp");
+        w.display(vp);
+    }
+    w.key("prefix");
+    write_prefix(w, r.prefix);
+    w.key("path");
+    write_path(w, r.path);
+    w.key("origin");
+    match r.path.origin() {
+        Some(a) => w.u64(a.value() as u64),
+        None => w.null(),
+    }
+    w.key("communities");
+    write_communities(w, r.communities);
+    w.key("time");
+    w.u64(r.time.as_millis());
+    w.end_obj();
+}
+
+/// One update of an `/updates` answer. Only ADD-PATH-tagged updates carry
+/// `path_id`, so classic responses stay byte-identical (the store-persist
+/// cmp depends on that).
+fn write_update(w: &mut JsonWriter, u: &UpdateRef<'_>) {
+    w.begin_obj();
+    w.key("vp");
+    w.display(u.vp);
+    w.key("time");
+    w.u64(u.time.as_millis());
+    w.key("prefix");
+    write_prefix(w, u.prefix);
+    w.key("kind");
+    w.str(match u.kind {
+        UpdateKind::Announce => "announce",
+        UpdateKind::Withdraw => "withdraw",
+    });
+    w.key("path");
+    write_path(w, u.path);
+    w.key("communities");
+    write_communities(w, u.communities);
+    if let Some(id) = u.path_id {
+        w.key("path_id");
+        w.u64(id as u64);
+    }
+    w.end_obj();
+}
+
+fn write_time(w: &mut JsonWriter, t: Option<Timestamp>) {
+    match t {
+        Some(t) => w.u64(t.as_millis()),
+        None => w.null(),
+    }
+}
+
+fn write_path(w: &mut JsonWriter, path: &AsPath) {
+    w.begin_arr();
+    for a in path.hops() {
+        w.u64(a.value() as u64);
+    }
+    w.end_arr();
+}
+
+fn write_communities(w: &mut JsonWriter, comms: &[Community]) {
+    w.begin_arr();
+    for c in comms {
+        w.display(c);
+    }
+    w.end_arr();
+}
+
+/// A prefix as [`Prefix`]'s `Display` writes it. IPv4 takes a direct path;
+/// IPv6 keeps `Display`, so its zero compression stays std's.
+fn write_prefix(w: &mut JsonWriter, p: Prefix) {
+    if p.is_ipv6() {
+        return w.display(p);
+    }
+    w.str_with(|out| {
+        for (i, octet) in (p.raw_bits() as u32).to_be_bytes().into_iter().enumerate() {
+            if i > 0 {
+                out.push('.');
+            }
+            fmt_u64(octet as u64, out);
+        }
+        out.push('/');
+        fmt_u64(p.len() as u64, out);
+    });
 }
 
 #[cfg(test)]
@@ -354,23 +389,55 @@ mod tests {
 
     #[test]
     fn update_json_tags_path_id_only_when_present() {
-        let classic =
+        let mut s = RouteStore::default();
+        s.ingest(
             UpdateBuilder::announce(VpId::from_asn(Asn(65001)), "10.0.0.0/8".parse().unwrap())
                 .at(Timestamp::from_secs(1))
                 .path([65001, 2])
-                .build();
-        assert!(!update_json(&classic).encode().unwrap().contains("path_id"));
-
-        let tagged =
+                .build(),
+        );
+        s.ingest(
             UpdateBuilder::announce(VpId::from_asn(Asn(65001)), "2001:db8::/32".parse().unwrap())
-                .at(Timestamp::from_secs(1))
+                .at(Timestamp::from_secs(2))
                 .path([65001, 2])
                 .path_id(7)
-                .build();
-        assert!(update_json(&tagged)
-            .encode()
-            .unwrap()
-            .contains("\"path_id\":7"));
+                .build(),
+        );
+        let one = |prefix: &str| {
+            let q = UpdateQuery {
+                prefix: Some(prefix.parse().unwrap()),
+                join: JoinMode::Exact,
+                vp: None,
+                from: Timestamp::ZERO,
+                to: Timestamp::from_secs(9),
+                limit: 10,
+            };
+            QueryEngine::updates(&s, &q).encode().unwrap()
+        };
+        let classic = one("10.0.0.0/8");
+        assert!(classic.contains("\"count\":1"), "{classic}");
+        assert!(!classic.contains("path_id"), "{classic}");
+        let tagged = one("2001:db8::/32");
+        assert!(tagged.contains("\"path_id\":7}"), "{tagged}");
+    }
+
+    #[test]
+    fn prefix_renderer_matches_display() {
+        for p in [
+            "0.0.0.0/0",
+            "10.0.5.0/24",
+            "255.255.255.255/32",
+            "192.168.0.0/16",
+            "::/0",
+            "2001:db8::/32",
+            "2001:db8:0:19::1/128",
+            "::ffff:10.0.0.0/104",
+        ] {
+            let p: Prefix = p.parse().unwrap();
+            let mut w = JsonWriter::new();
+            write_prefix(&mut w, p);
+            assert_eq!(w.finish().as_str(), format!("\"{p}\""));
+        }
     }
 
     #[test]

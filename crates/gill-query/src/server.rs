@@ -7,17 +7,24 @@
 //! snapshots) so downstream tooling can consume a live store exactly like
 //! a published dump.
 //!
-//! | endpoint        | parameters                                        |
-//! |-----------------|---------------------------------------------------|
-//! | `/health`       | —                                                 |
-//! | `/vps`          | —                                                 |
-//! | `/routes`       | `prefix` (req), `match=exact|lpm|ms`, `vp`, `at`  |
-//! | `/rib`          | `vp` (req), `at`                                  |
-//! | `/updates`      | `from`, `to`, `prefix`, `join=exact|covered`, `vp`, `limit` |
-//! | `/origin`       | `asn` (req)                                       |
-//! | `/mrt/updates`  | `vp` (req)                                        |
-//! | `/mrt/rib`      | `at` (default: latest)                            |
-//! | `/filters`      | `format=json|text` (default: json)                |
+//! | endpoint        | parameters                                        | body |
+//! |-----------------|---------------------------------------------------|------|
+//! | `/health`       | —                                                 | tree |
+//! | `/store/stats`  | —                                                 | tree |
+//! | `/vps`          | —                                                 | tree |
+//! | `/routes`       | `prefix` (req), `match=exact|lpm|ms`, `vp`, `at`  | writer |
+//! | `/rib`          | `vp` (req), `at`                                  | writer |
+//! | `/updates`      | `from`, `to`, `prefix`, `join=exact|covered`, `vp`, `limit` | writer |
+//! | `/origin`       | `asn` (req)                                       | writer |
+//! | `/mrt/updates`  | `vp` (req)                                        | MRT  |
+//! | `/mrt/rib`      | `at` (default: latest)                            | MRT  |
+//! | `/filters`      | `format=json|text` (default: json)                | tree / text |
+//!
+//! "writer" bodies are rendered by one [`JsonWriter`](crate::json::JsonWriter)
+//! straight from the store's arenas, and its buffer becomes the response
+//! body without a copy; "tree" bodies build a [`Json`](crate::Json) value
+//! and encode it. A JSON or MRT body the server cannot encode is its own
+//! fault and answers 500; malformed parameters answer 400.
 //!
 //! Timestamps are milliseconds since the epoch; `vp` is `65001` /
 //! `AS65001` / `65001#2`. `/filters` publishes the collector's live filter
@@ -136,10 +143,12 @@ fn filters_endpoint(req: &Request, filters: Option<&FilterHandle>) -> Response {
     }
 }
 
+/// A JSON answer. A value that cannot be encoded is the server's fault,
+/// not the client's: 500.
 fn json_ok(j: crate::Json) -> Response {
-    match j.encode() {
+    match j.into_body() {
         Ok(body) => Response::json(body),
-        Err(e) => Response::error(400, &e.to_string()),
+        Err(e) => Response::error(500, &e.to_string()),
     }
 }
 
@@ -304,7 +313,7 @@ fn mrt_updates(req: &Request, store: &SharedStore) -> Response {
     let updates = store.read().lane_updates(vp).unwrap_or_default();
     match encode_updates_mrt(&updates) {
         Ok(bytes) => Response::octets(bytes),
-        Err(e) => Response::error(400, &format!("mrt encode failed: {e}")),
+        Err(e) => Response::error(500, &format!("mrt encode failed: {e}")),
     }
 }
 
@@ -319,7 +328,7 @@ fn mrt_rib(req: &Request, store: &SharedStore) -> Response {
     let mut bytes = Vec::new();
     match dump.write_mrt(&mut bytes, at) {
         Ok(_) => Response::octets(bytes),
-        Err(e) => Response::error(400, &format!("mrt encode failed: {e}")),
+        Err(e) => Response::error(500, &format!("mrt encode failed: {e}")),
     }
 }
 
@@ -572,6 +581,15 @@ mod tests {
         assert!(String::from_utf8(no_state.body)
             .unwrap()
             .contains("no filter state"));
+    }
+
+    #[test]
+    fn encode_failures_are_server_errors() {
+        let resp = json_ok(crate::Json::F64(f64::NAN));
+        assert_eq!(resp.status, 500);
+        assert!(String::from_utf8(resp.body)
+            .unwrap()
+            .contains("non-finite float"));
     }
 
     #[test]

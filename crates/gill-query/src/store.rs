@@ -24,7 +24,8 @@
 //! 1. **Attribute interning** — AS paths, community sets, `Lw`/`Cw` sets
 //!    and prefixes live once in refcounted [`Interner`] arenas; a stored
 //!    record is a handful of `u32` ids ([`Rec`]) instead of an owned
-//!    [`BgpUpdate`]. Full updates are rebuilt on demand, exactly.
+//!    [`BgpUpdate`]. Queries borrow the arena slices ([`RouteRef`],
+//!    [`UpdateRef`]) and full updates are rebuilt on demand, exactly.
 //! 2. **Copy-on-write RIBs** — the per-lane live table and its cadence
 //!    snapshots are [`CowRib`]s: a snapshot is an O(1) root clone sharing
 //!    unchanged subtrees, not a full `Rib` copy.
@@ -37,8 +38,8 @@ use crate::cow::{CompactEntry, CowRib, RouteKey};
 use crate::segment::{self, Segment, SegmentBuilder};
 use crate::{JoinMode, MatchMode};
 use bgp_types::{
-    Asn, BgpUpdate, CommSetId, LinkSetId, PathId, Prefix, PrefixId, PrefixTrie, Rib, RibEntry,
-    Timestamp, UpdateKind, VpId,
+    AsPath, Asn, BgpUpdate, CommSetId, Community, Link, LinkSetId, PathId, Prefix, PrefixId,
+    PrefixTrie, Rib, RibEntry, Timestamp, UpdateKind, VpId,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::io;
@@ -87,7 +88,7 @@ impl StoreConfig {
 
 /// Reference to one update in a VP lane (shard indexes point here).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct UpdateRef {
+struct LaneRef {
     vp: VpId,
     idx: u32,
 }
@@ -189,7 +190,7 @@ impl VpLane {
 /// prefix id — covered joins go through the single shared trie in the
 /// prefix arena instead of one trie per shard.
 struct Shard {
-    index: HashMap<u32, Vec<UpdateRef>>,
+    index: HashMap<u32, Vec<LaneRef>>,
     count: usize,
 }
 
@@ -212,6 +213,74 @@ pub struct RouteView {
     pub prefix: Prefix,
     /// The best-route attributes.
     pub entry: RibEntry,
+}
+
+/// One stored route, borrowed from the arenas: what `/rib` and `/routes`
+/// render without copying a path or a community set.
+#[derive(Clone, Copy, Debug)]
+pub struct RouteRef<'a> {
+    /// The route's prefix.
+    pub prefix: Prefix,
+    /// RFC 7911 ADD-PATH identifier (`None` on classic sessions).
+    pub path_id: Option<u32>,
+    /// The AS path.
+    pub path: &'a AsPath,
+    /// The communities, sorted.
+    pub communities: &'a [Community],
+    /// When the route was announced.
+    pub time: Timestamp,
+}
+
+impl RouteRef<'_> {
+    /// The owned form.
+    pub fn to_entry(&self) -> RibEntry {
+        RibEntry {
+            path: self.path.clone(),
+            communities: self.communities.iter().copied().collect(),
+            time: self.time,
+        }
+    }
+}
+
+/// One stored update, borrowed from its lane and the arenas: what
+/// `/updates` renders without rebuilding a [`BgpUpdate`].
+#[derive(Clone, Copy, Debug)]
+pub struct UpdateRef<'a> {
+    /// The vantage point that sent it.
+    pub vp: VpId,
+    /// Raw arrival time.
+    pub time: Timestamp,
+    /// The announced or withdrawn prefix.
+    pub prefix: Prefix,
+    /// RFC 7911 ADD-PATH identifier (`None` on classic sessions).
+    pub path_id: Option<u32>,
+    /// Announce or withdraw.
+    pub kind: UpdateKind,
+    /// The AS path.
+    pub path: &'a AsPath,
+    /// The communities, sorted.
+    pub communities: &'a [Community],
+    /// Links the replaced route had and this one lacks (`Lw`), sorted.
+    pub withdrawn_links: &'a [Link],
+    /// Communities the replaced route had and this one lacks (`Cw`), sorted.
+    pub withdrawn_communities: &'a [Community],
+}
+
+impl UpdateRef<'_> {
+    /// The owned form — the exact value the reference store keeps.
+    pub fn to_update(&self) -> BgpUpdate {
+        BgpUpdate {
+            vp: self.vp,
+            time: self.time,
+            prefix: self.prefix,
+            path_id: self.path_id,
+            kind: self.kind,
+            path: self.path.clone(),
+            communities: self.communities.iter().copied().collect(),
+            withdrawn_links: self.withdrawn_links.iter().copied().collect(),
+            withdrawn_communities: self.withdrawn_communities.iter().copied().collect(),
+        }
+    }
 }
 
 /// Counters the `/health` endpoint and tests read.
@@ -490,7 +559,7 @@ impl RouteStore {
             .index
             .entry(pid.0)
             .or_default()
-            .push(UpdateRef { vp, idx });
+            .push(LaneRef { vp, idx });
         self.total += 1;
         self.rec_bytes += REC_OVERHEAD_BYTES;
     }
@@ -543,35 +612,30 @@ impl RouteStore {
         }
     }
 
-    /// Rebuilds the full update for one lane record — the exact value the
-    /// reference store would have kept (Lw/Cw included).
-    fn rebuild(&self, vp: VpId, lane: &VpLane, idx: usize) -> BgpUpdate {
+    /// One lane record, resolved through the arenas (Lw/Cw included).
+    fn update_ref(&self, vp: VpId, lane: &VpLane, idx: usize) -> UpdateRef<'_> {
         let rec = &lane.recs[idx];
         let i = &self.interner;
-        BgpUpdate {
+        UpdateRef {
             vp,
             time: Timestamp::from_millis(lane.raw_times[idx]),
             prefix: i.prefixes.get(rec.prefix),
             path_id: rec.path_id,
             kind: rec.kind,
-            path: i.paths.get(rec.path).clone(),
-            communities: i.comm_sets.get(rec.comms.0).iter().copied().collect(),
-            withdrawn_links: i.link_sets.get(rec.wlinks.0).iter().copied().collect(),
-            withdrawn_communities: i.comm_sets.get(rec.wcomms.0).iter().copied().collect(),
+            path: i.paths.get(rec.path),
+            communities: i.comm_sets.get(rec.comms.0),
+            withdrawn_links: i.link_sets.get(rec.wlinks.0),
+            withdrawn_communities: i.comm_sets.get(rec.wcomms.0),
         }
     }
 
-    /// Materializes an interned entry into the owned form queries return.
-    fn entry(&self, e: &CompactEntry) -> RibEntry {
-        RibEntry {
-            path: self.interner.paths.get(e.path).clone(),
-            communities: self
-                .interner
-                .comm_sets
-                .get(e.comms.0)
-                .iter()
-                .copied()
-                .collect(),
+    /// One table entry, resolved through the arenas.
+    fn route_ref(&self, prefix: Prefix, path_id: Option<u32>, e: &CompactEntry) -> RouteRef<'_> {
+        RouteRef {
+            prefix,
+            path_id,
+            path: self.interner.paths.get(e.path),
+            communities: self.interner.comm_sets.get(e.comms.0),
             time: Timestamp::from_millis(e.time_ms),
         }
     }
@@ -580,11 +644,8 @@ impl RouteStore {
     fn materialize(&self, rib: &CowRib) -> Rib {
         let mut entries = Vec::with_capacity(rib.len());
         rib.for_each(|key, e| {
-            entries.push((
-                self.interner.prefixes.get(key.prefix),
-                key.path,
-                self.entry(e),
-            ))
+            let p = self.interner.prefixes.get(key.prefix);
+            entries.push((p, key.path, self.route_ref(p, key.path, e).to_entry()))
         });
         Rib::from_path_entries(entries)
     }
@@ -624,9 +685,9 @@ impl RouteStore {
     }
 
     /// The routes of `vp` — live, or at `at` — sorted by `(prefix, ADD-PATH
-    /// id)`, read straight from the lane's table (`/rib`). Returns `None`
-    /// for an unknown VP.
-    pub fn rib_routes(&self, vp: VpId, at: Option<Timestamp>) -> Option<Vec<(Prefix, RibEntry)>> {
+    /// id)`, borrowed straight from the lane's table (`/rib`). Returns
+    /// `None` for an unknown VP.
+    pub fn rib_walk(&self, vp: VpId, at: Option<Timestamp>) -> Option<Vec<RouteRef<'_>>> {
         let lane = self.lanes.get(&vp)?;
         let past;
         let table = match at {
@@ -639,7 +700,12 @@ impl RouteStore {
         let mut keyed = Vec::with_capacity(table.len());
         table.for_each(|key, e| keyed.push((self.interner.prefixes.get(key.prefix), key.path, *e)));
         keyed.sort_unstable_by_key(|(p, path_id, _)| (*p, *path_id));
-        Some(keyed.iter().map(|(p, _, e)| (*p, self.entry(e))).collect())
+        Some(
+            keyed
+                .iter()
+                .map(|(p, path_id, e)| self.route_ref(*p, *path_id, e))
+                .collect(),
+        )
     }
 
     /// Number of updates `rib_at` would replay after the snapshot (used by
@@ -662,48 +728,7 @@ impl RouteStore {
     /// covering prefix that still has a route from the selected view;
     /// more-specifics enumerates the covered subtree.
     pub fn lookup(&self, prefix: &Prefix, mode: MatchMode, vp: Option<VpId>) -> Vec<RouteView> {
-        let keep = |routes: &BTreeMap<(VpId, Option<u32>), CompactEntry>,
-                    pfx: &Prefix,
-                    out: &mut Vec<RouteView>| {
-            for ((v, _path_id), entry) in routes {
-                if vp.is_none_or(|want| *v == want) {
-                    out.push(RouteView {
-                        vp: *v,
-                        prefix: *pfx,
-                        entry: self.entry(entry),
-                    });
-                }
-            }
-        };
-        let mut out = Vec::new();
-        match mode {
-            MatchMode::Exact => {
-                if let Some(routes) = self.live.get(prefix) {
-                    keep(routes, prefix, &mut out);
-                }
-            }
-            MatchMode::Longest => {
-                // walk up from the exact node: longest_match only sees the
-                // best covering node, but that node may have no route from
-                // the requested VP — so widen until one matches.
-                let mut probe = *prefix;
-                while let Some((pfx, routes)) = self.live.longest_match(&probe) {
-                    keep(routes, pfx, &mut out);
-                    if !out.is_empty() || pfx.is_empty() {
-                        break;
-                    }
-                    // retry strictly above the rejected match
-                    probe = truncate(pfx, pfx.len() - 1);
-                }
-            }
-            MatchMode::MoreSpecific => {
-                for (pfx, routes) in self.live.more_specifics(prefix) {
-                    keep(routes, pfx, &mut out);
-                }
-            }
-        }
-        out.sort_by_key(|a| (a.prefix, a.vp));
-        out
+        owned_views(self.lookup_walk(prefix, mode, vp, None))
     }
 
     /// Historical lookup: like [`RouteStore::lookup`] but against the RIBs
@@ -715,66 +740,119 @@ impl RouteStore {
         vp: Option<VpId>,
         t: Timestamp,
     ) -> Vec<RouteView> {
-        let vps: Vec<VpId> = match vp {
-            Some(v) => vec![v],
-            None => self.vp_order.clone(),
-        };
+        owned_views(self.lookup_walk(prefix, mode, vp, Some(t)))
+    }
+
+    /// The routes a looking-glass query matches (`/routes`), borrowed from
+    /// the arenas and sorted by `(prefix, vp, ADD-PATH id)`.
+    ///
+    /// `at = None` reads the live cross-VP table, where LPM answers with
+    /// the most specific covering prefix the selected VPs route. A past
+    /// `at` reads each selected VP's table at that time (snapshot +
+    /// bounded replay), and LPM answers per VP.
+    pub fn lookup_walk(
+        &self,
+        prefix: &Prefix,
+        mode: MatchMode,
+        vp: Option<VpId>,
+        at: Option<Timestamp>,
+    ) -> Vec<(VpId, RouteRef<'_>)> {
         let mut out = Vec::new();
-        for v in vps {
-            let Some(rib) = self.rib_at(v, t) else {
-                continue;
-            };
-            // Group per prefix: an ADD-PATH table can hold several routes
-            // under one prefix, and every one is part of the answer.
-            let mut trie: PrefixTrie<Vec<RibEntry>> = PrefixTrie::new();
-            for (p, e) in rib.iter() {
-                match trie.get_mut(p) {
-                    Some(v) => v.push(e.clone()),
-                    None => {
-                        trie.insert(*p, vec![e.clone()]);
-                    }
-                }
-            }
-            let push = |pfx: &Prefix, entries: &Vec<RibEntry>, out: &mut Vec<RouteView>| {
-                for e in entries {
-                    out.push(RouteView {
-                        vp: v,
-                        prefix: *pfx,
-                        entry: e.clone(),
-                    });
-                }
-            };
-            match mode {
-                MatchMode::Exact => {
-                    if let Some(es) = trie.get(prefix) {
-                        push(prefix, es, &mut out);
-                    }
-                }
-                MatchMode::Longest => {
-                    if let Some((pfx, es)) = trie.longest_match(prefix) {
-                        push(pfx, es, &mut out);
-                    }
-                }
-                MatchMode::MoreSpecific => {
-                    for (pfx, es) in trie.more_specifics(prefix) {
-                        push(pfx, es, &mut out);
+        match at {
+            None => self.live_matches(prefix, mode, vp, &mut out),
+            Some(t) => {
+                let vps = match vp {
+                    Some(v) => vec![v],
+                    None => self.vp_order.clone(),
+                };
+                for v in vps {
+                    if let Some(lane) = self.lanes.get(&v) {
+                        self.table_matches(v, &lane.table_at(t), prefix, mode, &mut out);
                     }
                 }
             }
         }
-        out.sort_by_key(|a| (a.prefix, a.vp));
+        out.sort_unstable_by_key(|(v, r)| (r.prefix, *v, r.path_id));
         out
     }
 
+    /// [`RouteStore::lookup_walk`] over the live cross-VP table.
+    fn live_matches<'a>(
+        &'a self,
+        prefix: &Prefix,
+        mode: MatchMode,
+        vp: Option<VpId>,
+        out: &mut Vec<(VpId, RouteRef<'a>)>,
+    ) {
+        let keep = |routes: &BTreeMap<(VpId, Option<u32>), CompactEntry>,
+                    pfx: &Prefix,
+                    out: &mut Vec<(VpId, RouteRef<'a>)>| {
+            for (&(v, path_id), entry) in routes {
+                if vp.is_none_or(|want| v == want) {
+                    out.push((v, self.route_ref(*pfx, path_id, entry)));
+                }
+            }
+        };
+        match mode {
+            MatchMode::Exact => {
+                if let Some(routes) = self.live.get(prefix) {
+                    keep(routes, prefix, out);
+                }
+            }
+            MatchMode::Longest => {
+                // walk up from the exact node: longest_match only sees the
+                // best covering node, but that node may have no route from
+                // the requested VP — so widen until one matches.
+                let mut probe = *prefix;
+                while let Some((pfx, routes)) = self.live.longest_match(&probe) {
+                    keep(routes, pfx, out);
+                    if !out.is_empty() || pfx.is_empty() {
+                        break;
+                    }
+                    // retry strictly above the rejected match
+                    probe = truncate(pfx, pfx.len() - 1);
+                }
+            }
+            MatchMode::MoreSpecific => {
+                for (pfx, routes) in self.live.more_specifics(prefix) {
+                    keep(routes, pfx, out);
+                }
+            }
+        }
+    }
+
+    /// [`RouteStore::lookup_walk`] over one VP's table, in one pass over
+    /// its routes.
+    fn table_matches<'a>(
+        &'a self,
+        vp: VpId,
+        table: &CowRib,
+        prefix: &Prefix,
+        mode: MatchMode,
+        out: &mut Vec<(VpId, RouteRef<'a>)>,
+    ) {
+        let mut hits = Vec::new();
+        table.for_each(|key, e| {
+            let p = self.interner.prefixes.get(key.prefix);
+            let keep = match mode {
+                MatchMode::Exact => p == *prefix,
+                MatchMode::Longest => p.covers(prefix),
+                MatchMode::MoreSpecific => prefix.covers(&p),
+            };
+            if keep {
+                hits.push((vp, self.route_ref(p, key.path, e)));
+            }
+        });
+        if mode == MatchMode::Longest {
+            // of the covering prefixes, only the most specific answers
+            let longest = hits.iter().map(|(_, r)| r.prefix.len()).max();
+            hits.retain(|(_, r)| Some(r.prefix.len()) == longest);
+        }
+        out.append(&mut hits);
+    }
+
     /// Updates touching `prefix` in `[from, to]`, at most the first `cap`
-    /// of them (`usize::MAX` for all).
-    ///
-    /// `join` controls prefix matching: exact, or any stored prefix covered
-    /// by the query (more-specifics, resolved through the shared prefix
-    /// trie). Results are rebuilt updates in (time, vp, prefix, lane order);
-    /// only the ones returned are rebuilt. A VP without a prefix reads that
-    /// lane's contiguous index range; everything else goes through the
-    /// shard indexes.
+    /// of them (`usize::MAX` for all), rebuilt into owned updates.
     pub fn updates_in_range(
         &self,
         prefix: Option<&Prefix>,
@@ -784,6 +862,30 @@ impl RouteStore {
         to: Timestamp,
         cap: usize,
     ) -> Vec<BgpUpdate> {
+        self.updates_walk(prefix, join, vp, from, to, cap)
+            .iter()
+            .map(UpdateRef::to_update)
+            .collect()
+    }
+
+    /// The updates an update-log query matches (`/updates`), at most the
+    /// first `cap`, borrowed from the lanes and the arenas.
+    ///
+    /// `join` controls prefix matching: exact, or any stored prefix covered
+    /// by the query (more-specifics, resolved through the shared prefix
+    /// trie). Results come in (time, vp, prefix, lane order); only the ones
+    /// returned are resolved. A VP without a prefix reads that lane's
+    /// contiguous index range; everything else goes through the shard
+    /// indexes.
+    pub fn updates_walk(
+        &self,
+        prefix: Option<&Prefix>,
+        join: JoinMode,
+        vp: Option<VpId>,
+        from: Timestamp,
+        to: Timestamp,
+        cap: usize,
+    ) -> Vec<UpdateRef<'_>> {
         let (from_ms, to_ms) = (from.as_millis(), to.as_millis());
         if from_ms > to_ms {
             return Vec::new();
@@ -817,7 +919,7 @@ impl RouteStore {
         keyed.sort_unstable();
         keyed
             .into_iter()
-            .map(|(_, v, _, idx)| self.rebuild(v, &self.lanes[&v], idx as usize))
+            .map(|(_, v, _, idx)| self.update_ref(v, &self.lanes[&v], idx as usize))
             .collect()
     }
 
@@ -850,7 +952,7 @@ impl RouteStore {
         });
         let first = from_ms / self.cfg.shard_width_ms;
         let last = to_ms / self.cfg.shard_width_ms;
-        let mut refs: Vec<UpdateRef> = Vec::new();
+        let mut refs: Vec<LaneRef> = Vec::new();
         for (_, shard) in self.shards.range(first..=last) {
             match &pids {
                 Some(ids) => {
@@ -895,7 +997,7 @@ impl RouteStore {
         let lane = self.lanes.get(&vp)?;
         Some(
             (0..lane.recs.len())
-                .map(|i| self.rebuild(vp, lane, i))
+                .map(|i| self.update_ref(vp, lane, i).to_update())
                 .collect(),
         )
     }
@@ -1052,6 +1154,17 @@ impl RouteStore {
             e.insert(VpLane::new());
         }
     }
+}
+
+fn owned_views(routes: Vec<(VpId, RouteRef<'_>)>) -> Vec<RouteView> {
+    routes
+        .into_iter()
+        .map(|(vp, r)| RouteView {
+            vp,
+            prefix: r.prefix,
+            entry: r.to_entry(),
+        })
+        .collect()
 }
 
 fn add_origin(

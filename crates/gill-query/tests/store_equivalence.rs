@@ -615,3 +615,265 @@ fn rib_and_vp_updates_match_the_materialised_rendering() {
     }
     assert_eq!(saw, (true, true));
 }
+
+/// [`addpath_stream`] made dual-stack and nested, keyed on the prefix so
+/// announcements and withdrawals stay paired: ids `≡ 0 (mod 37)` become
+/// the covering v4 `/16`, ids `≡ 1 (mod 37)` the covering v6 `/48`, and
+/// other multiples of 5 their v6 twin. The ADD-PATH lane's prefixes (ids
+/// below 30) take the same mapping, so it holds v4, v6 and aggregates.
+fn dual_stack_stream(n: usize) -> Vec<BgpUpdate> {
+    let aggregate_v4 = |id: u32| Prefix::v4(std::net::Ipv4Addr::new(10, (id >> 8) as u8, 0, 0), 16);
+    let aggregate_v6: Prefix = "2001:db8::/48".parse().unwrap();
+    addpath_stream(n)
+        .into_iter()
+        .map(|mut u| {
+            let id = u.prefix.synthetic_index().expect("synthetic prefix");
+            u.prefix = match (id % 37, id % 5) {
+                (0, _) => aggregate_v4(id),
+                (1, _) => aggregate_v6,
+                (_, 0) => Prefix::synthetic_v6(id),
+                _ => u.prefix,
+            };
+            u
+        })
+        .collect()
+}
+
+/// `/routes` rendered from the reference RIBs. A live LPM answers with the
+/// most specific covering prefix any selected VP routes (the cross-VP
+/// table); a past one answers per VP, each with its own most specific
+/// covering prefix. Routes come in `(prefix, vp, path id)` order.
+fn routes_oracle(
+    tables: &[(VpId, bgp_types::Rib)],
+    prefix: Prefix,
+    mode: MatchMode,
+    vp: Option<VpId>,
+    at: Option<Timestamp>,
+) -> Vec<u8> {
+    type Hit<'a> = (Prefix, VpId, Option<u32>, &'a RibEntry);
+    fn longest<'a>(prefix: Prefix, routes: impl Iterator<Item = Hit<'a>>) -> Vec<Hit<'a>> {
+        let covering: Vec<Hit> = routes.filter(|(p, ..)| p.covers(&prefix)).collect();
+        let best = covering.iter().map(|(p, ..)| p.len()).max();
+        covering
+            .into_iter()
+            .filter(|(p, ..)| Some(p.len()) == best)
+            .collect()
+    }
+    let selected: Vec<Hit> = tables
+        .iter()
+        .filter(|(v, _)| vp.is_none_or(|want| *v == want))
+        .flat_map(|(v, rib)| rib.iter_paths().map(move |(p, id, e)| (*p, *v, id, e)))
+        .collect();
+    let mut hits: Vec<Hit> = match (mode, at) {
+        (MatchMode::Exact, _) => selected
+            .into_iter()
+            .filter(|(p, ..)| *p == prefix)
+            .collect(),
+        (MatchMode::MoreSpecific, _) => selected
+            .into_iter()
+            .filter(|(p, ..)| prefix.covers(p))
+            .collect(),
+        (MatchMode::Longest, None) => longest(prefix, selected.into_iter()),
+        (MatchMode::Longest, Some(_)) => tables
+            .iter()
+            .flat_map(|(v, _)| longest(prefix, selected.iter().copied().filter(|h| h.1 == *v)))
+            .collect(),
+    };
+    hits.sort_by_key(|(p, v, id, _)| (*p, *v, *id));
+    let routes = hits
+        .iter()
+        .map(|(p, v, _, e)| {
+            Json::obj([
+                ("vp", Json::str(v.to_string())),
+                ("prefix", Json::str(p.to_string())),
+                ("path", path_json(&e.path)),
+                (
+                    "origin",
+                    e.path
+                        .origin()
+                        .map(|a| Json::U64(a.value() as u64))
+                        .unwrap_or(Json::Null),
+                ),
+                ("communities", comms_json(e.communities.iter())),
+                ("time", Json::U64(e.time.as_millis())),
+            ])
+        })
+        .collect();
+    Json::obj([
+        ("query", Json::str(prefix.to_string())),
+        (
+            "match",
+            Json::str(match mode {
+                MatchMode::Exact => "exact",
+                MatchMode::Longest => "lpm",
+                MatchMode::MoreSpecific => "ms",
+            }),
+        ),
+        ("at", time_json(at)),
+        ("count", Json::U64(hits.len() as u64)),
+        ("routes", Json::Arr(routes)),
+    ])
+    .encode()
+    .unwrap()
+    .into_bytes()
+}
+
+#[test]
+fn routes_match_the_reference_rendering() {
+    let stream = dual_stack_stream(20_000);
+    let mut reference = ReferenceStore::new(small_cfg());
+    let mut interned = RouteStore::new(small_cfg());
+    for u in &stream {
+        reference.ingest(u.clone());
+        interned.ingest(u.clone());
+    }
+    let addpath = VpId::from_asn(Asn(ADDPATH_VP));
+    // the ADD-PATH lane holds several paths under one v6 and one v4 prefix
+    let live = reference.rib_now(addpath).unwrap();
+    let mut per_prefix: std::collections::HashMap<Prefix, usize> = Default::default();
+    for (p, _, _) in live.iter_paths() {
+        *per_prefix.entry(*p).or_default() += 1;
+    }
+    assert!(per_prefix.iter().any(|(p, n)| p.is_ipv6() && *n > 1));
+    assert!(per_prefix.iter().any(|(p, n)| !p.is_ipv6() && *n > 1));
+
+    let latest = interned.latest_time().as_millis();
+    let mid = 1_000_000 + (latest - 1_000_000) / 2;
+    let shared = Arc::new(RwLock::new(interned));
+    let p = |s: &str| s.parse::<Prefix>().unwrap();
+    let queries = [
+        // plain /24s (3 and 7 under the ADD-PATH lane, 251 not), host
+        // routes inside a /24 and inside the /16 alone, a covering /22,
+        // and enumerations across the v4 /16 and /8
+        Prefix::synthetic(3),
+        Prefix::synthetic(7),
+        Prefix::synthetic(251),
+        p("10.0.13.1/32"),
+        p("10.0.74.1/32"),
+        p("10.0.4.0/22"),
+        p("10.0.0.0/16"),
+        p("10.0.0.0/8"),
+        // the v6 twins (20 under the ADD-PATH lane, 255 not), a host
+        // route, a narrower cover and the /48
+        Prefix::synthetic_v6(5),
+        Prefix::synthetic_v6(20),
+        Prefix::synthetic_v6(255),
+        p("2001:db8:0:19::1/128"),
+        p("2001:db8:0:10::/61"),
+        p("2001:db8::/48"),
+        // held by no VP at all
+        p("11.0.0.0/24"),
+        p("2001:db9::/32"),
+    ];
+    let vps = [
+        None,
+        Some(VpId::from_asn(Asn(65_003))),
+        Some(addpath),
+        Some(VpId::from_asn(Asn(99))),
+    ];
+    let ats = [
+        None,
+        Some(Timestamp::from_millis(mid)),
+        Some(Timestamp::ZERO),
+    ];
+    let mut nonempty = [0usize; 3];
+    for at in ats {
+        let tables: Vec<(VpId, bgp_types::Rib)> = reference
+            .vps()
+            .into_iter()
+            .map(|(v, _)| {
+                let rib = match at {
+                    None => reference.rib_now(v).cloned(),
+                    Some(t) => reference.rib_at(v, t),
+                };
+                (v, rib.unwrap())
+            })
+            .collect();
+        for prefix in queries {
+            for (mi, mode) in [
+                MatchMode::Exact,
+                MatchMode::Longest,
+                MatchMode::MoreSpecific,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                for vp in vps {
+                    let m = ["exact", "lpm", "ms"][mi];
+                    let mut target = format!("/routes?prefix={prefix}&match={m}");
+                    if let Some(v) = vp {
+                        target += &format!("&vp={}", v.asn.value());
+                    }
+                    if let Some(t) = at {
+                        target += &format!("&at={}", t.as_millis());
+                    }
+                    let resp = get(&shared, &target);
+                    assert_eq!(resp.status, 200, "{target}");
+                    let want = routes_oracle(&tables, prefix, mode, vp, at);
+                    nonempty[mi] += usize::from(!want.ends_with(b"\"count\":0,\"routes\":[]}"));
+                    assert_eq!(
+                        String::from_utf8(resp.body).unwrap(),
+                        String::from_utf8(want).unwrap(),
+                        "{target}"
+                    );
+                }
+            }
+        }
+    }
+    // every mode answered with routes somewhere in the matrix
+    assert!(nonempty.iter().all(|&n| n > 10), "{nonempty:?}");
+    // a live LPM for a /24 other VPs route but the ADD-PATH VP does not
+    // widens to the covering aggregate the ADD-PATH VP does route
+    for (q, cover) in [
+        (Prefix::synthetic(251), "10.0.0.0/16"),
+        (Prefix::synthetic_v6(255), "2001:db8::/48"),
+    ] {
+        let body = get(
+            &shared,
+            &format!("/routes?prefix={q}&match=lpm&vp={ADDPATH_VP}"),
+        )
+        .body;
+        let body = String::from_utf8(body).unwrap();
+        assert!(body.contains(&format!("\"prefix\":\"{cover}\"")), "{body}");
+        assert!(!body.contains("\"count\":0"), "{body}");
+    }
+}
+
+/// Every hot-endpoint body the writer renders parses back to a tree that
+/// encodes to the same bytes: the writer emits nothing the tree would
+/// write differently.
+#[test]
+fn hot_bodies_reparse_to_themselves() {
+    let stream = dual_stack_stream(20_000);
+    let mut store = RouteStore::new(small_cfg());
+    for u in &stream {
+        store.ingest(u.clone());
+    }
+    let latest = store.latest_time().as_millis();
+    let mid = 1_000_000 + (latest - 1_000_000) / 2;
+    let shared = Arc::new(RwLock::new(store));
+    let mut targets: Vec<String> = request_matrix(latest)
+        .into_iter()
+        .filter(|t| !t.starts_with("/mrt/") && !t.starts_with("/vps"))
+        .collect();
+    for at in [String::new(), format!("&at={mid}")] {
+        for m in ["exact", "lpm", "ms"] {
+            for q in ["10.0.0.0/8", "10.0.74.1/32", "2001:db8::/48"] {
+                targets.push(format!("/routes?prefix={q}&match={m}{at}"));
+                targets.push(format!("/routes?prefix={q}&match={m}&vp={ADDPATH_VP}{at}"));
+            }
+        }
+        targets.push(format!("/rib?vp={ADDPATH_VP}{at}"));
+    }
+    targets.push(format!("/updates?vp={ADDPATH_VP}&to={latest}&limit=500"));
+    targets.push(format!(
+        "/updates?prefix=2001:db8::/48&join=covered&to={latest}"
+    ));
+    for target in targets {
+        let resp = get(&shared, &target);
+        assert_eq!(resp.status, 200, "{target}");
+        let body = String::from_utf8(resp.body).unwrap();
+        let tree = Json::parse(&body).unwrap_or_else(|e| panic!("{target}: {e}"));
+        assert_eq!(tree.encode().unwrap(), body, "{target}");
+    }
+}
