@@ -8,11 +8,14 @@
 //! streams them back, skipping-and-counting records of types we do not
 //! decode instead of aborting the archive (real collector dumps mix in
 //! OSPF, TABLE_DUMP and exotic AFIs — see [`MrtReader::skipped`]).
+//! [`MrtRecord::bgp4mp`] is the one place a domain update becomes an
+//! archive record: the collector's archive, the looking glass's
+//! `/mrt/updates` and the CLI's MRT writer all call it.
 
 use crate::error::{WireError, WireResult};
 use crate::message::BgpMessage;
-use crate::update::DecodeCtx;
-use bgp_types::{Asn, Timestamp};
+use crate::update::{DecodeCtx, UpdateMessage};
+use bgp_types::{Asn, BgpUpdate, Timestamp};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
@@ -40,6 +43,37 @@ pub struct MrtRecord {
 }
 
 impl MrtRecord {
+    /// The archive record for one domain update, as every GILL archive
+    /// writer emits it: the update as a BGP message with its ADD-PATH id
+    /// dropped (`BGP4MP_MESSAGE_AS4` carries no ADD-PATH signal; RFC 8050
+    /// defines dedicated subtypes this platform does not emit), stamped
+    /// with the update's time and VP AS. The peer and collector addresses
+    /// are fixed per family — `10.255.0.1` / `10.255.0.254` for v4 routes,
+    /// `2001:db8:ff::1` / `2001:db8:ff::fe` for v6 — so a v6 update is an
+    /// AFI-2 record.
+    pub fn bgp4mp(u: &BgpUpdate, local_as: Asn) -> WireResult<MrtRecord> {
+        let msg = UpdateMessage::from_domain(u)?.without_path_ids();
+        let (peer_ip, local_ip) = if u.prefix.is_ipv6() {
+            (
+                IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0xff, 0, 0, 0, 0, 1)),
+                IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0xff, 0, 0, 0, 0, 0xfe)),
+            )
+        } else {
+            (
+                IpAddr::V4(Ipv4Addr::new(10, 255, 0, 1)),
+                IpAddr::V4(Ipv4Addr::new(10, 255, 0, 254)),
+            )
+        };
+        Ok(MrtRecord {
+            time: u.time,
+            peer_as: u.vp.asn,
+            local_as,
+            peer_ip,
+            local_ip,
+            message: BgpMessage::Update(msg),
+        })
+    }
+
     /// Encodes the record (header + body).
     pub fn encode(&self) -> WireResult<Vec<u8>> {
         let msg = self.message.encode_to_vec()?;
@@ -254,7 +288,6 @@ impl<R: Read> MrtReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::update::UpdateMessage;
     use bgp_types::AsPath;
 
     fn sample_record(t: u64, peer: u32) -> MrtRecord {

@@ -204,63 +204,72 @@ pub struct ScenarioOutcome {
     pub elapsed_ms: u64,
 }
 
-/// One endpoint under harness control: an FSM plus its transport.
-struct Endpoint {
-    fsm: SessionFsm,
-    transport: SimTransportBox,
-    side: Side,
+/// One session endpoint stepped by a single-threaded loop: an FSM plus
+/// its transport. The harness runs both sides of a scenario with it, and
+/// so does every loop that must step an FSM exactly as the harness does
+/// (the soak pipeline, the evented runtime's conformance test).
+pub struct Endpoint<T: Transport> {
+    /// The session state machine.
+    pub fsm: SessionFsm,
+    transport: T,
     eof_seen: bool,
 }
 
-type SimTransportBox = Box<dyn Transport>;
+impl<T: Transport> Endpoint<T> {
+    /// An endpoint that has not yet seen its link close.
+    pub fn new(fsm: SessionFsm, transport: T) -> Self {
+        Endpoint {
+            fsm,
+            transport,
+            eof_seen: false,
+        }
+    }
 
-impl Endpoint {
     /// Flushes FSM output to the link and feeds link bytes to the FSM.
     /// Write failures (severed link) are surfaced as EOF — from the
     /// session's perspective the connection is gone either way.
-    fn pump(&mut self, now: u64) {
+    pub fn pump(&mut self, now: u64) {
         while self.fsm.has_output() {
             let out = self.fsm.take_output();
             if self.transport.write_all(&out).is_err() {
-                if !self.eof_seen {
-                    self.eof_seen = true;
-                    self.fsm.handle_eof(now);
-                }
+                self.eof(now);
                 return;
             }
         }
         let mut buf = [0u8; 4096];
         loop {
             match self.transport.read(&mut buf) {
-                Ok(0) => {
-                    if !self.eof_seen {
-                        self.eof_seen = true;
-                        self.fsm.handle_eof(now);
-                    }
-                    return;
-                }
-                Ok(n) => self.fsm.handle_bytes(&buf[..n], now),
+                Ok(n) if n > 0 => self.fsm.handle_bytes(&buf[..n], now),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(_) => {
-                    if !self.eof_seen {
-                        self.eof_seen = true;
-                        self.fsm.handle_eof(now);
-                    }
+                // a closed or broken link
+                _ => {
+                    self.eof(now);
                     return;
                 }
             }
         }
     }
 
-    fn drain_into(
+    /// Hands the FSM its link's EOF once.
+    fn eof(&mut self, now: u64) {
+        if !self.eof_seen {
+            self.eof_seen = true;
+            self.fsm.handle_eof(now);
+        }
+    }
+
+    /// Drains the FSM's pending events, recording each in `transcript`
+    /// as `side`'s, and returns them.
+    pub fn drain_into(
         &mut self,
         transcript: &mut Transcript,
         now: u64,
         attempt: u32,
+        side: Side,
     ) -> Vec<SessionEvent> {
         let mut events = Vec::new();
         while let Some(e) = self.fsm.poll_event() {
-            transcript.push(now, attempt, self.side, render(&e));
+            transcript.push(now, attempt, side, render(&e));
             events.push(e);
         }
         events
@@ -306,18 +315,8 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
             .unwrap_or_else(FaultSchedule::none);
         // endpoint A = client, so client→server bytes take `c_faults`
         let (ct, st) = sim_pair(&clock, c_faults, s_faults);
-        let mut client = Endpoint {
-            fsm: SessionFsm::new(SessionRole::Active, scenario.client),
-            transport: Box::new(ct),
-            side: Side::Client,
-            eof_seen: false,
-        };
-        let mut server = Endpoint {
-            fsm: SessionFsm::new(SessionRole::Passive, scenario.server),
-            transport: Box::new(st),
-            side: Side::Server,
-            eof_seen: false,
-        };
+        let mut client = Endpoint::new(SessionFsm::new(SessionRole::Active, scenario.client), ct);
+        let mut server = Endpoint::new(SessionFsm::new(SessionRole::Passive, scenario.server), st);
         let start = clock.now_ms();
         client.fsm.start(start);
         server.fsm.start(start);
@@ -345,14 +344,14 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
                     break;
                 }
             }
-            for e in client.drain_into(&mut transcript, now, attempt) {
+            for e in client.drain_into(&mut transcript, now, attempt, Side::Client) {
                 if let SessionEvent::Established { .. } = e {
                     attempt_established = true;
                     established_count += 1;
                     next_send = Some(now);
                 }
             }
-            for e in server.drain_into(&mut transcript, now, attempt) {
+            for e in server.drain_into(&mut transcript, now, attempt, Side::Server) {
                 if let SessionEvent::Update(u) = e {
                     delivered.push(u);
                     delivered_this_attempt += 1;

@@ -36,6 +36,6 @@ pub use http::{Handled, HttpServer, Request, Response, ServerConfig};
 pub use json::{Json, JsonError};
 pub use query::{JoinMode, MatchMode, QueryEngine, RouteQuery, UpdateQuery};
 pub use refstore::ReferenceStore;
-pub use server::{serve, serve_with, SharedStore};
+pub use server::SharedStore;
 pub use storage::QueryableStorage;
 pub use store::{RouteStore, RouteView, StoreConfig, StoreMemStats, StoreStats};

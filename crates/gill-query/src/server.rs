@@ -32,15 +32,14 @@
 //! the exact published `anchor`/`drop` rule file, byte-for-byte what
 //! [`FilterSet::from_text`](gill_core::FilterSet::from_text) re-ingests.
 
-use crate::http::{HttpServer, Request, Response, ServerConfig};
+use crate::http::{Request, Response};
 use crate::query::{QueryEngine, RouteQuery, UpdateQuery};
 use crate::store::RouteStore;
 use crate::{JoinMode, MatchMode};
 use bgp_types::{Asn, BgpUpdate, Prefix, Timestamp, VpId};
-use bgp_wire::{BgpMessage, MrtRecord, MrtWriter, TableDump, UpdateMessage};
+use bgp_wire::{MrtRecord, MrtWriter, TableDump};
 use gill_core::{FilterGranularity, FilterHandle};
 use parking_lot::RwLock;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 
 /// The store handle shared between ingest and serving.
@@ -48,25 +47,6 @@ pub type SharedStore = Arc<RwLock<RouteStore>>;
 
 /// Default cap on `/updates` results when `limit` is absent.
 const DEFAULT_UPDATE_LIMIT: usize = 10_000;
-
-/// Starts the looking-glass server on `addr` over `store`.
-pub fn serve(addr: &str, cfg: ServerConfig, store: SharedStore) -> std::io::Result<HttpServer> {
-    serve_with(addr, cfg, store, None)
-}
-
-/// Starts the looking-glass server with collector filter state attached,
-/// enabling `/filters` (reads always see the live epoch — the handle is
-/// the same one the collector's sessions judge against).
-pub fn serve_with(
-    addr: &str,
-    cfg: ServerConfig,
-    store: SharedStore,
-    filters: Option<Arc<FilterHandle>>,
-) -> std::io::Result<HttpServer> {
-    HttpServer::start(addr, cfg, move |req| {
-        route_with(req, &store, filters.as_deref())
-    })
-}
 
 /// Dispatches one parsed request against the store (no filter state).
 pub fn route(req: &Request, store: &SharedStore) -> Response {
@@ -275,30 +255,9 @@ fn origin(req: &Request, store: &SharedStore) -> Response {
 fn encode_updates_mrt(updates: &[BgpUpdate]) -> std::io::Result<Vec<u8>> {
     let mut w = MrtWriter::new(Vec::new());
     for u in updates {
-        let msg = UpdateMessage::from_domain(u)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
-            .without_path_ids();
-        // record addresses follow the route's family: v6 updates export as
-        // AFI-2 BGP4MP records, exactly like the collector's archive path
-        let (peer_ip, local_ip) = if u.prefix.is_ipv6() {
-            (
-                IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0xff, 0, 0, 0, 0, 1)),
-                IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0xff, 0, 0, 0, 0, 0xfe)),
-            )
-        } else {
-            (
-                IpAddr::V4(Ipv4Addr::new(10, 255, 0, 1)),
-                IpAddr::V4(Ipv4Addr::new(10, 255, 0, 254)),
-            )
-        };
-        w.write_record(&MrtRecord {
-            time: u.time,
-            peer_as: u.vp.asn,
-            local_as: Asn(65535),
-            peer_ip,
-            local_ip,
-            message: BgpMessage::Update(msg),
-        })?;
+        let record = MrtRecord::bgp4mp(u, Asn(65535))
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        w.write_record(&record)?;
     }
     w.into_inner()
 }
@@ -603,9 +562,13 @@ mod tests {
 
     #[test]
     fn served_end_to_end_over_tcp() {
+        use crate::http::{HttpServer, ServerConfig};
         use std::io::{Read as _, Write as _};
         let store = filled_store();
-        let mut srv = serve("127.0.0.1:0", ServerConfig::default(), store).unwrap();
+        let mut srv = HttpServer::start("127.0.0.1:0", ServerConfig::default(), move |req| {
+            route(req, &store)
+        })
+        .unwrap();
         let mut sock = std::net::TcpStream::connect(srv.local_addr()).unwrap();
         write!(
             sock,

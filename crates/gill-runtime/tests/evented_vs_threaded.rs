@@ -18,7 +18,7 @@ use bgp_wire::UpdateMessage;
 use gill_bmp::listener::BmpStats;
 use gill_collector::daemon::{DaemonStats, SessionCtx};
 use gill_collector::fsm::{SessionEvent, SessionFsm, SessionRole};
-use gill_collector::harness::{render_event, run_scenario, Scenario, Side, Transcript};
+use gill_collector::harness::{render_event, run_scenario, Endpoint, Scenario, Side, Transcript};
 use gill_collector::transport::{
     sim_pair, BackoffPolicy, Clock, FaultSchedule, SimTransport, Transport, VirtualClock,
 };
@@ -119,65 +119,6 @@ impl Transport for GatedLink {
     fn shutdown(&mut self) {}
 }
 
-/// The client endpoint, replicated verbatim from the harness: flush all
-/// FSM output (write failure surfaces as EOF), then read to
-/// `WouldBlock`.
-struct ClientEnd {
-    fsm: SessionFsm,
-    transport: SimTransport,
-    eof_seen: bool,
-}
-
-impl ClientEnd {
-    fn pump(&mut self, now: u64) {
-        while self.fsm.has_output() {
-            let out = self.fsm.take_output();
-            if self.transport.write_all(&out).is_err() {
-                if !self.eof_seen {
-                    self.eof_seen = true;
-                    self.fsm.handle_eof(now);
-                }
-                return;
-            }
-        }
-        let mut buf = [0u8; 4096];
-        loop {
-            match self.transport.read(&mut buf) {
-                Ok(0) => {
-                    if !self.eof_seen {
-                        self.eof_seen = true;
-                        self.fsm.handle_eof(now);
-                    }
-                    return;
-                }
-                Ok(n) => self.fsm.handle_bytes(&buf[..n], now),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(_) => {
-                    if !self.eof_seen {
-                        self.eof_seen = true;
-                        self.fsm.handle_eof(now);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
-    fn drain_into(
-        &mut self,
-        transcript: &mut Transcript,
-        now: u64,
-        attempt: u32,
-    ) -> Vec<SessionEvent> {
-        let mut events = Vec::new();
-        while let Some(e) = self.fsm.poll_event() {
-            transcript.record(now, attempt, Side::Client, render_event(&e));
-            events.push(e);
-        }
-        events
-    }
-}
-
 /// What the evented run produced, shaped like `ScenarioOutcome`.
 struct EventedOutcome {
     transcript: Transcript,
@@ -226,11 +167,8 @@ fn run_scenario_evented(scenario: &Scenario, interleave_seed: u64) -> EventedOut
             .cloned()
             .unwrap_or_else(FaultSchedule::none);
         let (ct, st) = sim_pair(&clock, c_faults, s_faults);
-        let mut client = ClientEnd {
-            fsm: SessionFsm::new(SessionRole::Active, scenario.client),
-            transport: ct,
-            eof_seen: false,
-        };
+        // the client endpoint is the harness's own
+        let mut client = Endpoint::new(SessionFsm::new(SessionRole::Active, scenario.client), ct);
 
         // a fresh loop per attempt, exactly as the harness starts a
         // fresh server FSM per connection attempt
@@ -327,7 +265,7 @@ fn run_scenario_evented(scenario: &Scenario, interleave_seed: u64) -> EventedOut
                 el.run_once(None, &mut other).unwrap();
             }
 
-            for e in client.drain_into(&mut transcript, now, attempt) {
+            for e in client.drain_into(&mut transcript, now, attempt, Side::Client) {
                 if let SessionEvent::Established { .. } = e {
                     attempt_established = true;
                     next_send = Some(now);

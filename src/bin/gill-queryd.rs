@@ -11,12 +11,28 @@
 //! curl -N 'http://127.0.0.1:8480/stream/updates?prefix=10.0.0.0/8'
 //! ```
 //!
-//! `--replay-stream` re-publishes the loaded archive into the broker (at
-//! `--stream-interval-ms` per update) so the streaming endpoints carry
-//! data without a live collector attached; without it the broker is idle
-//! and subscribers simply wait.
+//! `--stream-repeat N` re-publishes the loaded archive N times into the
+//! broker (at `--stream-interval-ms` per update, default 1) and then
+//! closes it, so the streaming endpoints carry data without a live
+//! collector attached and `curl -N` clients end on an end-of-stream
+//! frame. With the default N = 0 the broker is idle and subscribers
+//! simply wait. `--stream-wait-subs N` holds the replay until N
+//! subscribers are attached — the lever CI uses to race a fast and a
+//! deliberately stalled client against the same deterministic publish
+//! sequence:
+//!
+//! ```sh
+//! gill-queryd --updates updates.mrt --addr 127.0.0.1:8480 \
+//!     --stream-repeat 100 --stream-wait-subs 1
+//! curl -N 'http://127.0.0.1:8480/stream/updates'
+//! ```
+//!
+//! `--addpath v6` (or `v4`, or `v4,v6`) decodes an archive written from
+//! an ADD-PATH session, whose NLRI carry leading path identifiers. To
+//! serve a filtered archive, filter it first with
+//! `gill-replay --filters f.txt --out kept.mrt` and serve `kept.mrt`.
 
-use gill::cli::{read_updates_mrt, Args};
+use gill::cli::{read_updates_mrt_ctx, Args};
 use gill::core::{FilterHandle, FilterSet};
 use gill::query::{RouteStore, ServerConfig, StoreConfig};
 use gill::stream::{serve_streaming, BrokerConfig, StreamBroker};
@@ -57,7 +73,7 @@ fn run() -> Result<(), String> {
         }
     }
     let updates = match &updates_path {
-        Some(p) => read_updates_mrt(p).map_err(|e| e.to_string())?,
+        Some(p) => read_updates_mrt_ctx(p, &args.addpath_ctx()?).map_err(|e| e.to_string())?,
         None => Vec::new(),
     };
     let n = updates.len();
@@ -106,10 +122,8 @@ fn run() -> Result<(), String> {
         ring_capacity: args.num("ring-capacity", broker_defaults.ring_capacity)?,
         max_subscribers: args.num("max-subscribers", broker_defaults.max_subscribers)?,
     });
-    let replay_stream = matches!(
-        args.optional("replay-stream").as_deref(),
-        Some("true") | Some("1") | Some("yes")
-    );
+    let repeat: usize = args.num("stream-repeat", 0)?;
+    let wait_subs: usize = args.num("stream-wait-subs", 0)?;
     let interval_ms: u64 = args.num("stream-interval-ms", 1)?;
 
     let store = Arc::new(parking_lot::RwLock::new(store));
@@ -117,15 +131,25 @@ fn run() -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     println!("serving on http://{}", server.local_addr());
 
-    if replay_stream {
-        println!("replaying {n} updates into /stream/updates");
+    if repeat > 0 {
+        if wait_subs > 0 {
+            println!("waiting for {wait_subs} stream subscriber(s) before replaying");
+        }
+        println!("replaying {n} updates x{repeat} into /stream/updates");
         std::thread::spawn(move || {
-            for u in &updates {
-                broker.publish_always(u);
-                if interval_ms > 0 {
-                    std::thread::sleep(Duration::from_millis(interval_ms));
+            while broker.stats().subscribers < wait_subs {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            for _ in 0..repeat {
+                for u in &updates {
+                    broker.publish_always(u);
+                    if interval_ms > 0 {
+                        std::thread::sleep(Duration::from_millis(interval_ms));
+                    }
                 }
             }
+            // end-of-stream, so `curl -N` clients exit cleanly; the query
+            // endpoints stay up until the process is killed
             broker.close();
         });
     }
@@ -141,11 +165,12 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!(
-                "usage: gill-queryd [--updates updates.mrt] [--data-dir dir] \
-                 [--addr host:port] [--filters filters.txt] [--workers n] \
-                 [--shard-ms ms] [--snapshot-shards n] [--store-mem-cap bytes] \
-                 [--ring-capacity frames] [--max-subscribers n] \
-                 [--replay-stream true] [--stream-interval-ms ms]"
+                "usage: gill-queryd [--updates updates.mrt] [--addpath v4,v6] \
+                 [--data-dir dir] [--addr host:port] [--filters filters.txt] \
+                 [--workers n] [--shard-ms ms] [--snapshot-shards n] \
+                 [--store-mem-cap bytes] [--ring-capacity frames] \
+                 [--max-subscribers n] [--stream-repeat n] \
+                 [--stream-wait-subs n] [--stream-interval-ms ms]"
             );
             ExitCode::FAILURE
         }

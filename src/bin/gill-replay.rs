@@ -1,36 +1,21 @@
 //! `gill-replay` — apply a published filter file to an archived MRT stream
 //! offline: what users with limited resources do with GILL's artifacts
 //! (§9 — "help users find which bits of data they should process").
+//! `--bgp-to HOST:PORT` and `--bmp-to HOST:PORT` replay the (filtered)
+//! stream into a live collector as BGP peers or as one BMP router.
+//!
+//! The looking glass over an archive is `gill-queryd`; to serve a
+//! filtered one, write it here with `--out` first:
 //!
 //! ```sh
 //! gill-replay --updates updates.mrt --filters filters.txt --out kept.mrt
+//! gill-queryd --updates kept.mrt --addr 127.0.0.1:8480
 //! ```
-//!
-//! With `--serve`, the (optionally filtered) stream is loaded into the
-//! time-indexed route store and served over the looking-glass HTTP API —
-//! including the live `/stream/updates` endpoint, which replays the archive
-//! through the broadcast ring so `curl -N` clients see a RIS-Live-style
-//! feed:
-//!
-//! ```sh
-//! gill-replay --updates updates.mrt --serve 127.0.0.1:8480 \
-//!     --stream-repeat 100 --stream-interval-ms 1
-//! curl -N 'http://127.0.0.1:8480/stream/updates'
-//! ```
-//!
-//! The replay publisher closes the broker when the archive is exhausted, so
-//! streaming clients terminate cleanly (end-of-stream frame + final chunk).
-//! `--stream-wait-subs N` holds the replay until N subscribers are attached
-//! — the lever CI uses to race a fast and a deliberately stalled client
-//! against the same deterministic publish sequence.
 
-use gill::cli::{parse_families, read_updates_mrt_ctx, write_updates_mrt, Args};
+use gill::cli::{read_updates_mrt_ctx, write_updates_mrt, Args};
 use gill::core::FilterSet;
-use gill::query::{RouteStore, ServerConfig, StoreConfig};
-use gill::stream::{serve_streaming, BrokerConfig, StreamBroker};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn run() -> Result<(), String> {
@@ -38,25 +23,15 @@ fn run() -> Result<(), String> {
     let updates_path = PathBuf::from(args.required("updates")?);
     let filters_path = args.optional("filters").map(PathBuf::from);
     let out = args.optional("out").map(PathBuf::from);
-    let serve_addr = args.optional("serve");
     if filters_path.is_none()
-        && serve_addr.is_none()
         && args.optional("bmp-to").is_none()
         && args.optional("bgp-to").is_none()
     {
-        return Err("need --filters (replay), --bgp-to / --bmp-to (live feed) \
-             and/or --serve (looking glass)"
-            .into());
+        return Err("need --filters (replay) and/or --bgp-to / --bmp-to (live feed)".into());
     }
 
-    // --addpath v6 (or v4, or v4,v6): the archive was written from an
-    // ADD-PATH session, so its NLRI carry leading path identifiers for the
-    // named families and must decode under the matching context.
-    let ctx = match args.optional("addpath") {
-        Some(fams) => gill::wire::DecodeCtx::from_families(parse_families(&fams)?),
-        None => gill::wire::DecodeCtx::default(),
-    };
-    let updates = read_updates_mrt_ctx(&updates_path, &ctx).map_err(|e| e.to_string())?;
+    let updates =
+        read_updates_mrt_ctx(&updates_path, &args.addpath_ctx()?).map_err(|e| e.to_string())?;
     let kept: Vec<_> = match &filters_path {
         Some(p) => {
             let text = std::fs::read_to_string(p).map_err(|e| e.to_string())?;
@@ -169,66 +144,6 @@ fn run() -> Result<(), String> {
             vps.len()
         );
     }
-    if let Some(addr) = serve_addr {
-        // Replay pacing / determinism knobs for the streaming endpoint.
-        let repeat: usize = args.num("stream-repeat", 1)?;
-        let wait_subs: usize = args.num("stream-wait-subs", 0)?;
-        let interval_ms: u64 = args.num("stream-interval-ms", 0)?;
-        let broker_defaults = BrokerConfig::default();
-        let broker = StreamBroker::new(BrokerConfig {
-            ring_capacity: args.num("ring-capacity", broker_defaults.ring_capacity)?,
-            max_subscribers: args.num("max-subscribers", broker_defaults.max_subscribers)?,
-        });
-
-        let data_dir = args.optional("data-dir").map(PathBuf::from);
-        let mut store = RouteStore::new(StoreConfig {
-            mem_cap_bytes: args.num("store-mem-cap", 0)?,
-            ..StoreConfig::default()
-        });
-        if let Some(dir) = &data_dir {
-            if dir.exists() {
-                let replayed = store.load_dir(dir).map_err(|e| e.to_string())?;
-                if replayed > 0 {
-                    println!("replayed {replayed} updates from {}", dir.display());
-                }
-            }
-        }
-        let n = kept.len();
-        for u in &kept {
-            store.ingest(u.clone());
-        }
-        if let Some(dir) = &data_dir {
-            if let Some(path) = store.seal_all_into(dir).map_err(|e| e.to_string())? {
-                println!("sealed new updates to {}", path.display());
-            }
-        }
-        let store = Arc::new(parking_lot::RwLock::new(store));
-        let server = serve_streaming(&addr, ServerConfig::default(), store, None, broker.clone())
-            .map_err(|e| e.to_string())?;
-        println!("serving {n} updates on http://{}", server.local_addr());
-
-        if wait_subs > 0 {
-            println!("waiting for {wait_subs} stream subscriber(s) before replaying");
-            while broker.stats().subscribers < wait_subs {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-        println!("replaying {n} updates x{repeat} into /stream/updates");
-        for _ in 0..repeat {
-            for u in &kept {
-                broker.publish_always(u);
-                if interval_ms > 0 {
-                    std::thread::sleep(Duration::from_millis(interval_ms));
-                }
-            }
-        }
-        // Signals end-of-stream so `curl -N` clients exit cleanly; the query
-        // endpoints stay up until the process is killed.
-        broker.close();
-        loop {
-            std::thread::park();
-        }
-    }
     Ok(())
 }
 
@@ -239,12 +154,8 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: gill-replay --updates updates.mrt [--addpath v4,v6] \
-                 [--filters filters.txt] \
-                 [--out kept.mrt] [--bgp-to host:port] [--bmp-to host:port] \
-                 [--serve host:port] [--data-dir dir] \
-                 [--store-mem-cap bytes] [--stream-repeat n] \
-                 [--stream-wait-subs n] [--stream-interval-ms ms] \
-                 [--ring-capacity frames] [--max-subscribers n]"
+                 [--filters filters.txt] [--out kept.mrt] \
+                 [--bgp-to host:port] [--bmp-to host:port]"
             );
             ExitCode::FAILURE
         }

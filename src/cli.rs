@@ -2,12 +2,11 @@
 //!
 //! Hand-rolled flag parsing (the tools only need `--key value` pairs) and
 //! MRT stream helpers shared by `gill-simulate`, `gill-analyze`,
-//! `gill-replay` and `gill-collectord`.
+//! `gill-queryd`, `gill-replay` and `gill-collectord`.
 
 use crate::types::{Asn, BgpUpdate, Rib, Timestamp, VpId};
-use crate::wire::{BgpMessage, MrtReader, MrtRecord, MrtWriter, UpdateMessage};
+use crate::wire::{BgpMessage, DecodeCtx, MrtReader, MrtRecord, MrtWriter};
 use std::collections::HashMap;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::path::Path;
 
 /// Minimal `--key value` argument parser.
@@ -50,6 +49,17 @@ impl Args {
         self.map.get(key).cloned()
     }
 
+    /// The MRT decode context `--addpath` names (`v4`, `v6` or `v4,v6`):
+    /// an archive written from an ADD-PATH session carries a leading path
+    /// identifier on those families' NLRI, which is session state, not
+    /// wire-discoverable. Without the flag, NLRI decode classically.
+    pub fn addpath_ctx(&self) -> Result<DecodeCtx, String> {
+        Ok(match self.optional("addpath") {
+            Some(fams) => DecodeCtx::from_families(parse_families(&fams)?),
+            None => DecodeCtx::default(),
+        })
+    }
+
     /// A numeric flag with a default.
     pub fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.map.get(key) {
@@ -76,30 +86,9 @@ pub fn write_updates_mrt(path: &Path, updates: &[BgpUpdate]) -> std::io::Result<
     let file = std::fs::File::create(path)?;
     let mut w = MrtWriter::new(std::io::BufWriter::new(file));
     for u in updates {
-        let msg = UpdateMessage::from_domain(u)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
-            .without_path_ids();
-        // record addresses follow the route's family so v6 days archive
-        // as AFI-2 BGP4MP records
-        let (peer_ip, local_ip) = if u.prefix.is_ipv6() {
-            (
-                IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0xff, 0, 0, 0, 0, 1)),
-                IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0xff, 0, 0, 0, 0, 0xfe)),
-            )
-        } else {
-            (
-                IpAddr::V4(Ipv4Addr::new(10, 255, 0, 1)),
-                IpAddr::V4(Ipv4Addr::new(10, 255, 0, 254)),
-            )
-        };
-        w.write_record(&MrtRecord {
-            time: u.time,
-            peer_as: u.vp.asn,
-            local_as: Asn(65535),
-            peer_ip,
-            local_ip,
-            message: BgpMessage::Update(msg),
-        })?;
+        let record = MrtRecord::bgp4mp(u, Asn(65535))
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        w.write_record(&record)?;
     }
     let n = w.records_written();
     w.into_inner()?;
@@ -109,16 +98,13 @@ pub fn write_updates_mrt(path: &Path, updates: &[BgpUpdate]) -> std::io::Result<
 /// Reads an update stream back from an MRT file (classic sessions — no
 /// ADD-PATH).
 pub fn read_updates_mrt(path: &Path) -> std::io::Result<Vec<BgpUpdate>> {
-    read_updates_mrt_ctx(path, &crate::wire::DecodeCtx::default())
+    read_updates_mrt_ctx(path, &DecodeCtx::default())
 }
 
 /// Reads an update stream whose embedded BGP messages decode under `ctx` —
 /// required for archives written from ADD-PATH sessions, where NLRI carry a
 /// leading path identifier that a classic decode would misparse.
-pub fn read_updates_mrt_ctx(
-    path: &Path,
-    ctx: &crate::wire::DecodeCtx,
-) -> std::io::Result<Vec<BgpUpdate>> {
+pub fn read_updates_mrt_ctx(path: &Path, ctx: &DecodeCtx) -> std::io::Result<Vec<BgpUpdate>> {
     let file = std::fs::File::open(path)?;
     let mut r = MrtReader::with_ctx(std::io::BufReader::new(file), *ctx);
     let mut out = Vec::new();

@@ -35,6 +35,7 @@
 //!     the configured overdispersion and autocorrelation.
 
 use crate::bmp::{BmpCloseReason, BmpEvent, BmpFsm, BmpSessionConfig};
+use crate::collector::harness::Endpoint;
 use crate::collector::transport::{
     sim_pair, Clock, FaultSchedule, SimTransport, Transport, VirtualClock,
 };
@@ -247,56 +248,13 @@ impl SoakReport {
     }
 }
 
-/// One side of a live session (the harness keeps its own private).
-struct Endpoint {
-    fsm: SessionFsm,
-    transport: SimTransport,
-    eof_seen: bool,
-}
-
-impl Endpoint {
-    fn pump(&mut self, now: u64) {
-        while self.fsm.has_output() {
-            let out = self.fsm.take_output();
-            if self.transport.write_all(&out).is_err() {
-                if !self.eof_seen {
-                    self.eof_seen = true;
-                    self.fsm.handle_eof(now);
-                }
-                return;
-            }
-        }
-        let mut buf = [0u8; 4096];
-        loop {
-            match self.transport.read(&mut buf) {
-                Ok(0) => {
-                    if !self.eof_seen {
-                        self.eof_seen = true;
-                        self.fsm.handle_eof(now);
-                    }
-                    return;
-                }
-                Ok(n) => self.fsm.handle_bytes(&buf[..n], now),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(_) => {
-                    if !self.eof_seen {
-                        self.eof_seen = true;
-                        self.fsm.handle_eof(now);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-}
-
 /// A client/server FSM pair for one VP, plus the out-of-band schedule of
 /// update timestamps (the wire carries no per-update time; the collector
 /// stamps arrival, which here must be the scenario time for determinism).
 struct SessionPair {
     vp: VpId,
-    client: Endpoint,
-    server: Endpoint,
+    client: Endpoint<SimTransport>,
+    server: Endpoint<SimTransport>,
     times: VecDeque<Timestamp>,
 }
 
@@ -643,16 +601,8 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             };
             SessionPair {
                 vp,
-                client: Endpoint {
-                    fsm: SessionFsm::new(SessionRole::Active, client_cfg),
-                    transport: a,
-                    eof_seen: false,
-                },
-                server: Endpoint {
-                    fsm: SessionFsm::new(SessionRole::Passive, server_cfg),
-                    transport: b,
-                    eof_seen: false,
-                },
+                client: Endpoint::new(SessionFsm::new(SessionRole::Active, client_cfg), a),
+                server: Endpoint::new(SessionFsm::new(SessionRole::Passive, server_cfg), b),
                 times: VecDeque::new(),
             }
         })
